@@ -10,6 +10,10 @@
 //   * by (source, pattern, seq) — serves pull digests;
 //   * ids matching a pattern    — builds push digests (amortized via a
 //     per-pattern index, purged eagerly on eviction and lazily on lookup).
+// The first two are flat open-addressed tables (common/flat_table.hpp)
+// mapping straight to the event's storage slot: a pull-digest probe costs
+// one walk over adjacent slots and no heap node, and an insert or eviction
+// allocates nothing once the tables have reached their steady size.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_table.hpp"
 #include "epicast/common/ids.hpp"
 #include "epicast/common/rng.hpp"
 #include "epicast/gossip/config.hpp"
@@ -63,9 +68,10 @@ class EventCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] CachePolicy policy() const { return policy_; }
 
-  /// Estimated bytes owned by the cache's containers (slots + indexes,
-  /// excluding the shared events themselves) — per-component memory
-  /// accounting for the scale figures.
+  /// Bytes owned by the cache's containers (slots + indexes, excluding the
+  /// shared events themselves) — per-component memory accounting for the
+  /// scale figures. The flat tables count their allocated slots; the
+  /// per-pattern index is an estimate.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Drops every cached event and all indexes (cold restart). Counters are
@@ -86,24 +92,39 @@ class EventCache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  struct IdTraits {
+    /// NodeId::invalid() never publishes.
+    static constexpr EventId kEmpty{NodeId::invalid(), ~std::uint64_t{0}};
+    static std::uint64_t hash(const EventId& id) noexcept {
+      return mix64((static_cast<std::uint64_t>(id.source.value()) << 40) ^
+                   id.source_seq);
+    }
+  };
   struct SpKey {
     NodeId source;
     Pattern pattern;
     SeqNo seq;
-    friend constexpr auto operator<=>(const SpKey&, const SpKey&) = default;
+    friend constexpr bool operator==(const SpKey&, const SpKey&) = default;
   };
-  struct SpKeyHash {
-    std::size_t operator()(const SpKey& k) const noexcept;
+  struct SpKeyTraits {
+    static constexpr SpKey kEmpty{NodeId::invalid(), Pattern{}, SeqNo{}};
+    static std::uint64_t hash(const SpKey& k) noexcept {
+      return mix64(((static_cast<std::uint64_t>(k.source.value()) << 32) |
+                    k.pattern.value()) *
+                       0x9e3779b97f4a7c15ULL ^
+                   k.seq.value());
+    }
   };
 
   void evict_one();
-  void drop(const EventId& id);
-  void index_patterns(const EventPtr& event);
+  void drop(std::uint32_t slot);
+  void index_patterns(const EventData& event, std::uint32_t slot);
   void unindex_patterns(const EventData& event);
-  /// get() without the profiler hook (shared by get and find).
-  [[nodiscard]] EventPtr lookup(const EventId& id);
+  /// Counts a hit on the event in `slot` and refreshes its recency (LRU).
+  [[nodiscard]] EventPtr hit(std::uint32_t slot);
 
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
   void link_back(std::uint32_t slot);
   void unlink(std::uint32_t slot);
 
@@ -119,22 +140,24 @@ class EventCache {
   /// nothing per insert/evict — the caches' insert-evict churn at full β is
   /// the hottest allocation site a scenario has. LRU refresh is an
   /// unlink/link_back pair; Random evicts a uniform element of the dense
-  /// pool below.
+  /// slot pool below (`pool_pos` is the node's index in it).
   struct Node {
     EventPtr event;
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
+    std::uint32_t pool_pos = kNil;
   };
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  std::unordered_map<EventId, std::uint32_t> by_id_;
-  /// For Random eviction: dense id vector enabling O(1) uniform sampling.
-  std::vector<EventId> random_pool_;
-  std::unordered_map<EventId, std::size_t> random_pos_;
+  /// Event id → slot.
+  FlatTable<EventId, std::uint32_t, IdTraits> by_id_;
+  /// (source, pattern, seq) → slot, one entry per pattern of each event.
+  FlatTable<SpKey, std::uint32_t, SpKeyTraits> by_stream_seq_;
+  /// For Random eviction: dense slot vector enabling O(1) uniform sampling.
+  std::vector<std::uint32_t> random_pool_;
 
-  std::unordered_map<SpKey, EventId, SpKeyHash> by_source_pattern_;
   /// Per-pattern id index, insertion-ordered. Stale (evicted) ids are
   /// purged eagerly from the deque fronts on every eviction — under FIFO
   /// the victim *is* the front, so the index stays tight at small β — and

@@ -118,6 +118,11 @@ class Topology {
   /// staleness cheaply (the internal CSR copy uses it too).
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
+  /// Rebuilds the flat CSR copy if the version moved since the last pack.
+  /// neighbors() calls it lazily; a caller about to let several threads read
+  /// the topology calls it first, so that no reader repacks.
+  void repack_if_stale() const;
+
   /// Bytes owned by the adjacency structures (mutation vectors + CSR copy
   /// + BFS scratch) — per-component memory accounting.
   [[nodiscard]] std::size_t memory_bytes() const;
@@ -128,8 +133,6 @@ class Topology {
 
  private:
   void check_node(NodeId n) const;
-  /// Rebuilds the flat CSR copy if the version moved since the last pack.
-  void repack_if_stale() const;
   /// Stamps the BFS scratch for a fresh traversal and returns the stamp.
   std::uint32_t fresh_visit_stamp() const;
 

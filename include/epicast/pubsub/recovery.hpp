@@ -79,6 +79,12 @@ class RecoveryProtocol {
     return 0;
   }
 
+  /// Bytes owned by the stream-watermark bookkeeping behind
+  /// stream_marks_into() — per-component memory accounting.
+  [[nodiscard]] virtual std::size_t watermark_memory_bytes() const {
+    return 0;
+  }
+
   /// A neighbour's heartbeat carried stream watermarks: anything it has
   /// seen beyond this node's own expectation is a loss this node would
   /// never detect from sequence gaps alone (tail of a stream, outage

@@ -76,19 +76,21 @@ struct ScenarioResult {
   /// Bytes owned by the hot per-node state at scenario end, by component.
   /// `routing` covers subscription tables + duplicate-suppression masks
   /// across all dispatchers; `seen` the event dedup sets; `caches` the
-  /// retransmission buffers' containers (not the shared events); `topology`
-  /// the adjacency (mutation vectors + CSR + BFS scratch); `tracker` the
-  /// delivery-metric bookkeeping.
+  /// retransmission buffers' containers (not the shared events);
+  /// `watermark` the recovery protocols' witnessed stream watermarks;
+  /// `topology` the adjacency (mutation vectors + CSR + BFS scratch);
+  /// `tracker` the delivery-metric bookkeeping.
   struct MemoryBreakdown {
     std::uint32_t node_count = 0;
     std::size_t topology_bytes = 0;
     std::size_t routing_bytes = 0;
     std::size_t seen_bytes = 0;
     std::size_t cache_bytes = 0;
+    std::size_t watermark_bytes = 0;
     std::size_t tracker_bytes = 0;
     [[nodiscard]] std::size_t total_bytes() const {
       return topology_bytes + routing_bytes + seen_bytes + cache_bytes +
-             tracker_bytes;
+             watermark_bytes + tracker_bytes;
     }
     [[nodiscard]] double bytes_per_node() const {
       return node_count == 0

@@ -6,27 +6,16 @@
 
 namespace epicast {
 
-std::size_t EventCache::SpKeyHash::operator()(const SpKey& k) const noexcept {
-  std::uint64_t x = (static_cast<std::uint64_t>(k.source.value()) << 32) ^
-                    k.pattern.value();
-  x ^= k.seq.value() + 0x9e3779b97f4a7c15ULL + (x << 6) + (x >> 2);
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 29;
-  return static_cast<std::size_t>(x);
-}
-
 EventCache::EventCache(std::size_t capacity, CachePolicy policy, Rng rng)
     : capacity_(capacity), policy_(policy), rng_(rng) {
   EPICAST_ASSERT_MSG(capacity > 0, "cache capacity must be positive");
-  // The cache runs at exactly `capacity` entries in steady state; sizing
-  // everything up front keeps the insert-evict churn rehash- and
-  // reallocation-free.
+  // The cache runs at exactly `capacity` entries in steady state; reserving
+  // the slot vectors up front keeps the insert-evict churn
+  // reallocation-free. The flat tables grow on demand instead: filling
+  // them here would touch every page for caches that never fill up, and
+  // they stop growing once the cache is full.
   nodes_.reserve(capacity);
-  by_id_.reserve(capacity);
-  if (policy == CachePolicy::Random) {
-    random_pool_.reserve(capacity);
-    random_pos_.reserve(capacity);
-  }
+  if (policy == CachePolicy::Random) random_pool_.reserve(capacity);
 }
 
 void EventCache::link_back(std::uint32_t slot) {
@@ -71,21 +60,20 @@ bool EventCache::insert(const EventPtr& event) {
   }
   nodes_[slot].event = event;
   link_back(slot);
-  by_id_.emplace(event->id(), slot);
+  by_id_.try_emplace(event->id(), slot);
   if (policy_ == CachePolicy::Random) {
-    random_pos_.emplace(event->id(), random_pool_.size());
-    random_pool_.push_back(event->id());
+    nodes_[slot].pool_pos = static_cast<std::uint32_t>(random_pool_.size());
+    random_pool_.push_back(slot);
   }
-  index_patterns(event);
+  index_patterns(*event, slot);
   ++stats_.insertions;
   return true;
 }
 
-void EventCache::index_patterns(const EventPtr& event) {
-  for (const PatternSeq& ps : event->patterns()) {
-    by_source_pattern_[SpKey{event->source(), ps.pattern, ps.seq}] =
-        event->id();
-    by_pattern_[ps.pattern].push_back(event->id());
+void EventCache::index_patterns(const EventData& event, std::uint32_t slot) {
+  for (const PatternSeq& ps : event.patterns()) {
+    by_stream_seq_.assign(SpKey{event.source(), ps.pattern, ps.seq}, slot);
+    by_pattern_[ps.pattern].push_back(event.id());
   }
 }
 
@@ -93,7 +81,7 @@ void EventCache::unindex_patterns(const EventData& event) {
   // Precondition (see drop()): the event is already out of by_id_, so its
   // ids count as stale below.
   for (const PatternSeq& ps : event.patterns()) {
-    by_source_pattern_.erase(SpKey{event.source(), ps.pattern, ps.seq});
+    by_stream_seq_.erase(SpKey{event.source(), ps.pattern, ps.seq});
     // Eager head purge: under FIFO eviction the victim sits at the front
     // of its pattern deques, so the index cannot grow unboundedly at small
     // β. Stale ids in the middle (LRU/random) fall to ids_matching()'s
@@ -108,35 +96,28 @@ void EventCache::unindex_patterns(const EventData& event) {
 
 void EventCache::evict_one() {
   EPICAST_ASSERT(head_ != kNil);
-  EventId victim;
-  if (policy_ == CachePolicy::Random) {
-    victim = random_pool_[rng_.next_below(random_pool_.size())];
-  } else {
-    victim = nodes_[head_].event->id();  // FIFO and LRU evict the head
-  }
-  drop(victim);
+  // FIFO and LRU evict the head.
+  drop(policy_ == CachePolicy::Random
+           ? random_pool_[rng_.next_below(random_pool_.size())]
+           : head_);
   ++stats_.evictions;
 }
 
-void EventCache::drop(const EventId& id) {
-  auto it = by_id_.find(id);
-  EPICAST_ASSERT(it != by_id_.end());
-  const std::uint32_t slot = it->second;
+void EventCache::drop(std::uint32_t slot) {
   // Remove from by_id_ before unindexing so the eager purge sees the
   // victim's own ids as stale.
   const EventPtr victim = std::move(nodes_[slot].event);
   unlink(slot);
   free_.push_back(slot);
-  by_id_.erase(it);
+  by_id_.erase(victim->id());
   unindex_patterns(*victim);
   if (policy_ == CachePolicy::Random) {
     // Swap-pop keeps the sampling pool dense.
-    const std::size_t pos = random_pos_.at(id);
-    const EventId last = random_pool_.back();
+    const std::uint32_t pos = nodes_[slot].pool_pos;
+    const std::uint32_t last = random_pool_.back();
     random_pool_[pos] = last;
-    random_pos_[last] = pos;
+    nodes_[last].pool_pos = pos;
     random_pool_.pop_back();
-    random_pos_.erase(id);
   }
 }
 
@@ -146,12 +127,9 @@ void EventCache::clear() {
   head_ = kNil;
   tail_ = kNil;
   by_id_.clear();
+  by_stream_seq_.clear();
   random_pool_.clear();
-  random_pos_.clear();
-  by_source_pattern_.clear();
   by_pattern_.clear();
-  nodes_.reserve(capacity_);
-  by_id_.reserve(capacity_);
 }
 
 std::vector<EventPtr> EventCache::snapshot_events() const {
@@ -167,33 +145,33 @@ bool EventCache::contains(const EventId& id) const {
   return by_id_.contains(id);
 }
 
-EventPtr EventCache::lookup(const EventId& id) {
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
+EventPtr EventCache::hit(std::uint32_t slot) {
   ++stats_.hits;
-  if (policy_ == CachePolicy::Lru && it->second != tail_) {
-    unlink(it->second);  // refresh recency
-    link_back(it->second);
+  if (policy_ == CachePolicy::Lru && slot != tail_) {
+    unlink(slot);  // refresh recency
+    link_back(slot);
   }
-  return nodes_[it->second].event;
+  return nodes_[slot].event;
 }
 
 EventPtr EventCache::get(const EventId& id) {
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  return lookup(id);
+  const std::uint32_t* slot = by_id_.find(id);
+  if (slot == nullptr) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  return hit(*slot);
 }
 
 EventPtr EventCache::find(NodeId source, Pattern pattern, SeqNo seq) {
   HotpathProfiler::MaybeScope scope(profiler_, HotPhase::CacheOp);
-  auto it = by_source_pattern_.find(SpKey{source, pattern, seq});
-  if (it == by_source_pattern_.end()) {
+  const std::uint32_t* slot = by_stream_seq_.find(SpKey{source, pattern, seq});
+  if (slot == nullptr) {
     ++stats_.misses;
     return nullptr;
   }
-  return lookup(it->second);
+  return hit(*slot);
 }
 
 std::vector<EventId> EventCache::ids_matching(Pattern pattern,
@@ -260,11 +238,9 @@ std::size_t EventCache::memory_bytes() const {
   constexpr std::size_t kMapOverhead = 16;
   std::size_t bytes = nodes_.capacity() * sizeof(Node);
   bytes += free_.capacity() * sizeof(std::uint32_t);
-  bytes += by_id_.size() * (sizeof(EventId) + sizeof(std::uint32_t) + kMapOverhead);
-  bytes += random_pool_.capacity() * sizeof(EventId);
-  bytes += random_pos_.size() * (sizeof(EventId) + sizeof(std::size_t) + kMapOverhead);
-  bytes += by_source_pattern_.size() *
-           (sizeof(SpKey) + sizeof(EventId) + kMapOverhead);
+  bytes += by_id_.memory_bytes();
+  bytes += by_stream_seq_.memory_bytes();
+  bytes += random_pool_.capacity() * sizeof(std::uint32_t);
   for (const auto& [p, ids] : by_pattern_) {
     bytes += sizeof(p) + kMapOverhead + ids.size() * sizeof(EventId);
   }

@@ -1,7 +1,6 @@
 #include "epicast/gossip/protocol.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "epicast/common/assert.hpp"
@@ -69,6 +68,7 @@ void GossipProtocolBase::on_restart(fault::RestartPolicy policy) {
     cache_.clear();
     digest_marks_.fill({});
     stream_marks_.clear();
+    stream_order_.clear();
     ++restart_epoch_;
   }
 }
@@ -123,28 +123,32 @@ void GossipProtocolBase::preload_cache(const std::vector<EventPtr>& events) {
 }
 
 void GossipProtocolBase::note_stream_marks(const EventData& event) {
+  const std::uint64_t source = event.source().value();
   for (const PatternSeq& ps : event.patterns()) {
-    std::uint64_t& high =
-        stream_marks_[{event.source().value(), ps.pattern.value()}];
-    high = std::max(high, ps.seq.value());
+    const std::uint64_t key = source << 32 | ps.pattern.value();
+    auto [high, first] = stream_marks_.try_emplace(key, ps.seq.value());
+    if (first) {
+      stream_order_.push_back(key);
+    } else {
+      *high = std::max(*high, ps.seq.value());
+    }
   }
 }
 
 std::size_t GossipProtocolBase::stream_marks_into(
     std::size_t cursor, std::size_t max_entries,
     std::vector<StreamMark>& out) const {
-  const std::size_t n = stream_marks_.size();
+  const std::size_t n = stream_order_.size();
   if (n == 0 || max_entries == 0) return 0;
   cursor %= n;
-  auto it = stream_marks_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(cursor));
   for (std::size_t i = 0; i < std::min(max_entries, n); ++i) {
-    out.push_back(StreamMark{NodeId{it->first.first},
-                             Pattern{it->first.second}, SeqNo{it->second}});
-    if (++it == stream_marks_.end()) it = stream_marks_.begin();
-    ++cursor;
+    const std::uint64_t key = stream_order_[cursor];
+    out.push_back(StreamMark{NodeId{static_cast<std::uint32_t>(key >> 32)},
+                             Pattern{static_cast<std::uint32_t>(key)},
+                             SeqNo{*stream_marks_.find(key)}});
+    if (++cursor == n) cursor = 0;
   }
-  return cursor % n;
+  return cursor;
 }
 
 void GossipProtocolBase::prune_suspects(std::vector<NodeId>& targets) const {

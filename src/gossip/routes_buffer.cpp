@@ -11,8 +11,9 @@ void RoutesBuffer::update(NodeId source,
   if (forward_route.empty()) return;
   EPICAST_ASSERT_MSG(forward_route.front() == source,
                      "recorded route must start at the publisher");
-  std::vector<NodeId> back(forward_route.rbegin(), forward_route.rend());
-  routes_[source] = std::move(back);
+  // assign() reuses the stored route's capacity: routes to a source keep
+  // about the same length, so the steady state allocates nothing.
+  routes_[source].assign(forward_route.rbegin(), forward_route.rend());
 }
 
 const std::vector<NodeId>& RoutesBuffer::route_to(NodeId source) const {

@@ -71,6 +71,7 @@ std::string result_json(const ScenarioResult& r) {
      << "    \"routing_bytes\": " << m.routing_bytes << ",\n"
      << "    \"seen_bytes\": " << m.seen_bytes << ",\n"
      << "    \"cache_bytes\": " << m.cache_bytes << ",\n"
+     << "    \"watermark_bytes\": " << m.watermark_bytes << ",\n"
      << "    \"tracker_bytes\": " << m.tracker_bytes << ",\n"
      << "    \"total_bytes\": " << m.total_bytes() << ",\n"
      << "    \"bytes_per_node\": " << m.bytes_per_node() << "\n"

@@ -13,8 +13,12 @@ namespace epicast::oracle {
 namespace {
 
 std::string event_label(const EventId& id) {
-  return "(" + std::to_string(id.source.value()) + "#" +
-         std::to_string(id.source_seq) + ")";
+  std::string label = "(";
+  label += std::to_string(id.source.value());
+  label += '#';
+  label += std::to_string(id.source_seq);
+  label += ')';
+  return label;
 }
 
 /// The retransmission buffer `node` exposes, or nullptr (no recovery

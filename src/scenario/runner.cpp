@@ -161,10 +161,10 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       // threads; switch every pool to its mutex-guarded free lists.
       sim.pool().set_thread_safe(true);
       for (const auto& rt : lane_rts) rt->pool().set_thread_safe(true);
-      // Topology keeps a lazily repacked CSR view; force the repack on the
-      // master before each parallel window so workers only ever read it.
+      // Topology keeps a lazily repacked CSR view; repack it on the master
+      // before each parallel window so workers only ever read it.
       engine->set_parallel_prologue(
-          [&topology]() { topology.neighbors(NodeId{0}); });
+          [&topology]() { topology.repack_if_stale(); });
     }
   }
   const auto run_to = [&](SimTime t) {
@@ -383,6 +383,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     if (const EventCache* c = d.recovery()->event_cache()) {
       result.memory.cache_bytes += c->memory_bytes();
     }
+    result.memory.watermark_bytes += d.recovery()->watermark_memory_bytes();
     if (d.recovery()) d.recovery()->stop();
   });
 

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <tuple>
+
 namespace epicast {
 namespace {
 
@@ -181,6 +186,191 @@ TEST_P(CachePolicySweep, IdsMatchingIntoAgreesWithAllocatingVariant) {
     // identical history rather than the same cache twice.
     b.ids_matching_into(probe, cap, scratch);
     ASSERT_EQ(scratch, a.ids_matching(probe, cap));
+  }
+}
+
+/// Reference model of the cache over ordered std:: containers and linear
+/// scans: the behaviour EventCache's flat tables and slot lists must
+/// reproduce exactly, including Random's victim choice (same RNG, same
+/// swap-pop pool).
+class CacheModel {
+ public:
+  CacheModel(std::size_t capacity, CachePolicy policy, Rng rng)
+      : capacity_(capacity), policy_(policy), rng_(rng) {}
+
+  bool insert(const EventPtr& e) {
+    if (events_.contains(e->id())) return false;
+    while (events_.size() >= capacity_) evict();
+    events_[e->id()] = e;
+    order_.push_back(e->id());
+    inserted_at_[e->id()] = next_insert_++;
+    if (policy_ == CachePolicy::Random) pool_.push_back(e->id());
+    for (const PatternSeq& ps : e->patterns()) {
+      by_key_[{e->source().value(), ps.pattern.value(), ps.seq.value()}] =
+          e->id();
+    }
+    ++stats.insertions;
+    return true;
+  }
+
+  EventPtr get(const EventId& id) {
+    if (!events_.contains(id)) {
+      ++stats.misses;
+      return nullptr;
+    }
+    return hit(id);
+  }
+
+  EventPtr find(NodeId source, Pattern pattern, SeqNo seq) {
+    const auto it =
+        by_key_.find({source.value(), pattern.value(), seq.value()});
+    if (it == by_key_.end()) {
+      ++stats.misses;
+      return nullptr;
+    }
+    return hit(it->second);
+  }
+
+  /// Live ids carrying `pattern` in insertion order, newest `max` of them.
+  std::vector<EventId> ids_matching(Pattern pattern, std::size_t max) const {
+    std::map<std::uint64_t, EventId> by_age;
+    for (const auto& [id, e] : events_) {
+      for (const PatternSeq& ps : e->patterns()) {
+        if (ps.pattern == pattern) by_age[inserted_at_.at(id)] = id;
+      }
+    }
+    std::vector<EventId> out;
+    for (const auto& [age, id] : by_age) out.push_back(id);
+    if (max != 0 && out.size() > max) {
+      out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(max));
+    }
+    return out;
+  }
+
+  std::vector<EventPtr> snapshot() const {
+    std::vector<EventPtr> out;
+    for (const EventId& id : order_) out.push_back(events_.at(id));
+    return out;
+  }
+
+  void clear() {
+    events_.clear();
+    order_.clear();
+    pool_.clear();
+    by_key_.clear();
+  }
+
+  std::size_t size() const { return events_.size(); }
+  bool contains(const EventId& id) const { return events_.contains(id); }
+
+  EventCache::Stats stats;
+
+ private:
+  EventPtr hit(const EventId& id) {
+    ++stats.hits;
+    if (policy_ == CachePolicy::Lru) {
+      order_.remove(id);
+      order_.push_back(id);
+    }
+    return events_.at(id);
+  }
+
+  void evict() {
+    const EventId victim = policy_ == CachePolicy::Random
+                               ? pool_[rng_.next_below(pool_.size())]
+                               : order_.front();
+    const EventPtr e = events_.at(victim);
+    events_.erase(victim);
+    order_.remove(victim);
+    for (const PatternSeq& ps : e->patterns()) {
+      by_key_.erase({e->source().value(), ps.pattern.value(), ps.seq.value()});
+    }
+    if (policy_ == CachePolicy::Random) {
+      const auto pos = std::find(pool_.begin(), pool_.end(), victim);
+      *pos = pool_.back();
+      pool_.pop_back();
+    }
+    ++stats.evictions;
+  }
+
+  std::size_t capacity_;
+  CachePolicy policy_;
+  Rng rng_;
+  std::map<EventId, EventPtr> events_;
+  std::list<EventId> order_;  // next victim first (FIFO/LRU)
+  std::map<EventId, std::uint64_t> inserted_at_;
+  std::uint64_t next_insert_ = 0;
+  std::vector<EventId> pool_;
+  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>, EventId>
+      by_key_;
+};
+
+void expect_same_stats(const EventCache::Stats& a, const EventCache::Stats& b) {
+  ASSERT_EQ(a.insertions, b.insertions);
+  ASSERT_EQ(a.evictions, b.evictions);
+  ASSERT_EQ(a.hits, b.hits);
+  ASSERT_EQ(a.misses, b.misses);
+}
+
+TEST_P(CachePolicySweep, MatchesReferenceModelAtSmallBeta) {
+  for (const std::size_t beta : {1u, 2u, 3u, 5u, 8u}) {
+    SCOPED_TRACE(beta);
+    EventCache cache(beta, GetParam(), Rng{31});
+    CacheModel model(beta, GetParam(), Rng{31});
+    Rng rng(beta * 1000 + 7);
+    std::vector<EventPtr> made;  // every event built so far
+    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> seqs;
+    std::vector<std::uint64_t> source_seq(4, 0);
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 40 || made.empty()) {
+        // A new event: 1-3 distinct patterns of 5, per-stream seqs.
+        const auto source = static_cast<std::uint32_t>(rng.next_below(4));
+        std::vector<PatternSeq> patterns;
+        for (std::uint32_t p = 0; p < 5; ++p) {
+          if (patterns.size() < 3 && rng.chance(0.4)) {
+            patterns.push_back({Pattern{p}, SeqNo{++seqs[{source, p}]}});
+          }
+        }
+        if (patterns.empty()) {
+          patterns.push_back({Pattern{0}, SeqNo{++seqs[{source, 0}]}});
+        }
+        made.push_back(ev(source, source_seq[source]++, std::move(patterns)));
+        ASSERT_EQ(cache.insert(made.back()), model.insert(made.back()));
+      } else if (op < 45) {
+        // Re-inserting a cached event is refused and changes nothing.
+        const auto live = cache.snapshot_events();
+        if (!live.empty()) {
+          const EventPtr& e = live[rng.next_below(live.size())];
+          ASSERT_FALSE(cache.insert(e));
+          ASSERT_FALSE(model.insert(e));
+        }
+      } else if (op < 65) {
+        const EventPtr& e = made[rng.next_below(made.size())];
+        ASSERT_EQ(cache.contains(e->id()), model.contains(e->id()));
+        ASSERT_EQ(cache.get(e->id()), model.get(e->id()));
+      } else if (op < 85) {
+        const EventPtr& e = made[rng.next_below(made.size())];
+        const PatternSeq& ps =
+            e->patterns()[rng.next_below(e->patterns().size())];
+        // Off-by-one seqs probe neighbours that may or may not exist.
+        const SeqNo seq{ps.seq.value() + rng.next_below(2)};
+        ASSERT_EQ(cache.find(e->source(), ps.pattern, seq),
+                  model.find(e->source(), ps.pattern, seq));
+      } else if (op < 97) {
+        const Pattern p{static_cast<std::uint32_t>(rng.next_below(5))};
+        const std::size_t cap = rng.next_below(4);
+        ASSERT_EQ(cache.ids_matching(p, cap), model.ids_matching(p, cap));
+      } else if (op < 99) {
+        ASSERT_EQ(cache.snapshot_events(), model.snapshot());
+      } else {
+        cache.clear();
+        model.clear();
+      }
+      ASSERT_EQ(cache.size(), model.size());
+      expect_same_stats(cache.stats(), model.stats);
+    }
+    EXPECT_EQ(cache.snapshot_events(), model.snapshot());
   }
 }
 

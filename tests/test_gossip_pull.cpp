@@ -4,6 +4,10 @@
 // control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "epicast/gossip/combined_pull.hpp"
 #include "epicast/gossip/publisher_pull.hpp"
 #include "epicast/gossip/pull_base.hpp"
@@ -142,6 +146,62 @@ TEST(PullDetection, StreamMarksRotateThroughTheWitnessedTable) {
   out.clear();
   (void)pull(h, 1)->stream_marks_into(0, 99, out);
   EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(PullDetection, StreamMarksGoOutOncePerCycleAsStreamsAppear) {
+  // Heartbeats carry a rotating slice of the witnessed table. New streams
+  // appear between beats — here in descending pattern order, so a table
+  // ordered by key would slide its entries under the cursor — and still
+  // every stream goes out exactly once per cycle: a cycle closes at the
+  // first repeat, by which time every stream known at its start was sent.
+  GossipHarness h(3, Algorithm::SubscriberPull);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> subs;
+  for (std::uint32_t p = 1; p <= 9; ++p) subs.push_back({2, p});
+  h.subscribe_and_settle(subs);
+  auto& pub = h.net().node(NodeId{0});
+  std::map<std::uint32_t, std::uint64_t> published;  // pattern -> last seq
+  const auto publish = [&](std::uint32_t p) {
+    (void)pub.publish({Pattern{p}});
+    ++published[p];
+    h.run_for(0.05);
+  };
+  publish(9);
+  publish(8);
+
+  std::set<std::uint32_t> cycle_start = {8, 9};
+  std::set<std::uint32_t> this_cycle;
+  std::size_t cycles = 0;
+  std::size_t cursor = 0;
+  std::uint32_t next_new = 7;
+  std::vector<StreamMark> out;
+  for (int beat = 0; beat < 30; ++beat) {
+    out.clear();
+    cursor = pull(h, 1)->stream_marks_into(cursor, 2, out);
+    for (const StreamMark& m : out) {
+      EXPECT_EQ(m.source, NodeId{0});
+      if (this_cycle.contains(m.pattern.value())) {
+        EXPECT_TRUE(std::includes(this_cycle.begin(), this_cycle.end(),
+                                  cycle_start.begin(), cycle_start.end()))
+            << "beat " << beat << ": a stream was skipped";
+        ++cycles;
+        this_cycle.clear();
+        for (const auto& [p, seq] : published) cycle_start.insert(p);
+      }
+      this_cycle.insert(m.pattern.value());
+    }
+    if (beat % 2 == 0 && next_new >= 1) publish(next_new--);
+    if (beat % 3 == 0) publish(9);  // an old stream advances
+  }
+  EXPECT_GE(cycles, 4u);
+
+  // One call with room for everything sends each stream once, carrying
+  // its highest witnessed seq.
+  out.clear();
+  (void)pull(h, 1)->stream_marks_into(cursor, 99, out);
+  ASSERT_EQ(out.size(), published.size());
+  std::map<std::uint32_t, std::uint64_t> marks;
+  for (const StreamMark& m : out) marks[m.pattern.value()] = m.seq.value();
+  EXPECT_EQ(marks, published);
 }
 
 TEST(PullDetection, NonSubscribersDoNotDetect) {

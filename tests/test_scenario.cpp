@@ -55,6 +55,21 @@ TEST(Scenario, ZeroLossDeliversEverything) {
   EXPECT_DOUBLE_EQ(r.delivery_rate, 1.0);
 }
 
+TEST(Scenario, MemoryBreakdownCountsWitnessedWatermarks) {
+  // Gossip protocols keep a watermark per witnessed (source, pattern)
+  // stream; the breakdown reports it and folds it into the total.
+  const ScenarioResult r = run_scenario(small(Algorithm::CombinedPull));
+  const auto& m = r.memory;
+  EXPECT_GT(m.watermark_bytes, 0u);
+  EXPECT_GT(m.cache_bytes, 0u);
+  EXPECT_EQ(m.total_bytes(), m.topology_bytes + m.routing_bytes +
+                                 m.seen_bytes + m.cache_bytes +
+                                 m.watermark_bytes + m.tracker_bytes);
+  // No recovery protocol, no watermarks.
+  EXPECT_EQ(run_scenario(small(Algorithm::NoRecovery)).memory.watermark_bytes,
+            0u);
+}
+
 class RecoveryImproves : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(RecoveryImproves, OverNoRecoveryUnderLossyLinks) {

@@ -61,5 +61,26 @@ TEST(SeenSet, PropertyAgainstReferenceSet) {
   }
 }
 
+TEST(SeenSet, SparseLayoutAgainstReferenceSet) {
+  // Beyond kDenseSourceLimit the rows collapse into one flat table keyed
+  // (source, seq-block); sources far apart and long seq ranges make it
+  // grow through several doublings.
+  Rng rng(12);
+  SeenSet s(SeenSet::kDenseSourceLimit + 1);
+  std::unordered_set<EventId> ref;
+  for (int step = 0; step < 40000; ++step) {
+    const EventId id{
+        NodeId{static_cast<std::uint32_t>(rng.next_below(64) * 997)},
+        rng.next_below(4096)};
+    if (rng.chance(0.5)) {
+      ASSERT_EQ(s.insert(id), ref.insert(id).second);
+    } else {
+      ASSERT_EQ(s.contains(id), ref.contains(id));
+    }
+    ASSERT_EQ(s.size(), ref.size());
+  }
+  EXPECT_GT(s.memory_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace epicast
