@@ -2,7 +2,7 @@
 // kind, on messages with paper-typical contents (Fig. 2 defaults: ~200 B
 // event payloads, digests carrying a few dozen ids). Emits a JSON report
 // (default BENCH_codec.json, override with EPICAST_BENCH_JSON / --json=PATH)
-// so CI can archive the codec's perf trajectory alongside BENCH_sweep.json.
+// so CI can archive the codec's perf trajectory.
 #include <chrono>
 #include <cinttypes>
 #include <memory>

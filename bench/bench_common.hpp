@@ -6,10 +6,15 @@
 // text table on stdout, followed by a short note about the
 // paper-vs-measured shape.
 //
-// Configuration is parsed exactly once into BenchEnv:
-//   EPICAST_BENCH_FAST=1   shrink measurement windows and sweeps
-//   EPICAST_JOBS=N         worker threads (also --jobs=N)
+// Configuration is parsed once, by init() at the top of main(), into
+// BenchEnv:
+//   EPICAST_BENCH_FAST=1   shrink measurement windows and sweeps (also --fast)
 //   EPICAST_BENCH_JSON=F   machine-readable output path (also --json=F)
+//   --jobs=N               worker threads (default: EPICAST_JOBS, else every
+//                          available CPU)
+//   --xl                   bench_scale_overlays only: add the N = 10⁵ tier
+// init() also applies EPICAST_SIZING / EPICAST_POOL / EPICAST_JOBS through
+// apply_environment() (epicast/scenario/environment.hpp).
 // The full (default) configuration is what EXPERIMENTS.md records.
 #pragma once
 
@@ -24,41 +29,29 @@
 
 namespace epicast::bench {
 
-/// Process-wide bench configuration. Environment variables are read once,
-/// on first access; init() lets --flags override them.
+/// Process-wide bench configuration, filled by init().
 struct BenchEnv {
-  bool fast = false;          ///< EPICAST_BENCH_FAST: reduced windows/sweeps
-  unsigned jobs = 0;          ///< 0 = EPICAST_JOBS / hardware concurrency
-  std::string json_path;      ///< "" = no JSON output
+  bool fast = false;          ///< reduced windows/sweeps
+  unsigned jobs = 0;          ///< 0 = every available CPU
+  std::string json_path;      ///< "" = the bench's default JSON path, if any
+  bool xl = false;            ///< bench_scale_overlays' N = 10⁵ tier
 
   static BenchEnv& mutable_instance() {
-    static BenchEnv env = from_environment();
+    static BenchEnv env;
     return env;
   }
   static const BenchEnv& get() { return mutable_instance(); }
-
- private:
-  static BenchEnv from_environment() {
-    BenchEnv e;
-    if (const char* v = std::getenv("EPICAST_BENCH_FAST")) {
-      e.fast = v[0] != '\0' && v[0] != '0';
-    }
-    if (const char* v = std::getenv("EPICAST_JOBS")) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v, &end, 10);
-      if (end != v && *end == '\0' && n > 0 && n < 4096) {
-        e.jobs = static_cast<unsigned>(n);
-      }
-    }
-    if (const char* v = std::getenv("EPICAST_BENCH_JSON")) e.json_path = v;
-    return e;
-  }
 };
 
-/// Parses bench command-line flags (--jobs=N, --fast, --json=PATH) over the
-/// environment defaults. Call first thing in main().
+/// Reads the environment, then the bench flags (--jobs=N, --fast,
+/// --json=PATH, --xl) over it. Call first thing in main().
 inline void init(int argc, char** argv) {
   BenchEnv& env = BenchEnv::mutable_instance();
+  env.jobs = apply_environment().jobs;
+  if (const char* v = std::getenv("EPICAST_BENCH_FAST")) {
+    env.fast = v[0] != '\0' && v[0] != '0';
+  }
+  if (const char* v = std::getenv("EPICAST_BENCH_JSON")) env.json_path = v;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
@@ -73,10 +66,12 @@ inline void init(int argc, char** argv) {
       env.fast = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       env.json_path = arg + 7;
+    } else if (std::strcmp(arg, "--xl") == 0) {
+      env.xl = true;
     } else {
       std::fprintf(stderr,
                    "unknown flag %s (supported: --jobs=N --fast "
-                   "--json=PATH)\n",
+                   "--json=PATH --xl)\n",
                    arg);
     }
   }

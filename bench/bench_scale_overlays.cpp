@@ -10,15 +10,13 @@
 // engine's hot state (ScenarioResult::memory).
 //
 // Fast mode (EPICAST_BENCH_FAST=1) trims the N = 10⁴ tier to the
-// Barabási–Albert family — the CI scale-smoke configuration. Setting
-// EPICAST_BENCH_SCALE_XL=1 (or --xl) appends an N = 10⁵ BA tier; expect
-// minutes per run.
+// Barabási–Albert family — the CI scale-smoke configuration. --xl appends
+// an N = 10⁵ BA tier; expect minutes per run.
 //
 // Emits BENCH_scale.json (override with EPICAST_BENCH_JSON / --json=PATH);
 // CI's bytes-per-node gate compares it against the committed baseline.
 #include "bench_common.hpp"
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,16 +24,6 @@ namespace {
 
 using namespace epicast;
 using namespace epicast::bench;
-
-bool xl_mode(int argc, char** argv) {
-  if (const char* v = std::getenv("EPICAST_BENCH_SCALE_XL")) {
-    if (v[0] != '\0' && v[0] != '0') return true;
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--xl") == 0) return true;
-  }
-  return false;
-}
 
 struct Cell {
   std::string overlay;
@@ -78,7 +66,7 @@ int main(int argc, char** argv) {
       for (Algorithm a : all_algorithms()) add_cell(o, n, a);
     }
   }
-  if (xl_mode(argc, argv)) {
+  if (BenchEnv::get().xl) {
     for (Algorithm a : all_algorithms()) {
       add_cell(OverlayKind::BarabasiAlbert, 100000, a);
     }

@@ -13,6 +13,8 @@
 int main(int argc, char** argv) {
   using namespace epicast;
 
+  // EPICAST_SIZING / EPICAST_POOL, before parse_cli builds the config.
+  apply_environment();
   std::vector<std::string> args(argv + 1, argv + argc);
   const CliParse cli = parse_cli(args);
   if (cli.show_help) {

@@ -22,8 +22,10 @@
 //     pooled object dies.
 //   * Under AddressSanitizer the pool runs in PassThrough mode (plain
 //     operator new/delete per object) so ASan keeps poisoning freed
-//     memory; EPICAST_POOL=off forces PassThrough in any build for A/B
-//     measurements, EPICAST_POOL=on forces pooling even under ASan.
+//     memory. set_default_mode() overrides that default either way
+//     (EPICAST_POOL=on|off, applied by a program's main() through
+//     apply_environment(), forces pooling under ASan or pass-through in
+//     any build for A/B measurements).
 #pragma once
 
 #include <cstddef>
@@ -63,7 +65,7 @@ class MessagePool {
     }
   };
 
-  /// Default-constructs with default_mode() (ASan/EPICAST_POOL aware).
+  /// Default-constructs with default_mode().
   MessagePool() : MessagePool(default_mode()) {}
   explicit MessagePool(Mode mode);
 
@@ -81,9 +83,13 @@ class MessagePool {
   /// lock-free single-threaded with zero overhead.
   void set_thread_safe(bool on);
 
-  /// The process-wide default: PassThrough under ASan or EPICAST_POOL=off,
-  /// Pooling otherwise (EPICAST_POOL=on overrides the ASan default).
+  /// The process-wide default: PassThrough under ASan, Pooling otherwise,
+  /// unless set_default_mode() changed it.
   [[nodiscard]] static Mode default_mode();
+
+  /// Sets the process-wide default. Call before any pool is constructed,
+  /// from a single thread.
+  static void set_default_mode(Mode mode);
 
   static constexpr std::size_t kGranularity = 64;
   static constexpr std::size_t kClasses = 16;  ///< up to 1024-byte blocks

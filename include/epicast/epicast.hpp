@@ -50,6 +50,7 @@
 #include "epicast/pubsub/subscription_table.hpp"
 #include "epicast/scenario/cli.hpp"
 #include "epicast/scenario/config.hpp"
+#include "epicast/scenario/environment.hpp"
 #include "epicast/scenario/report.hpp"
 #include "epicast/scenario/runner.hpp"
 #include "epicast/scenario/sweep.hpp"

@@ -9,7 +9,7 @@
 // constructs no controller, forks no RNG, and stays bit-identical to a
 // fault-free build (the determinism seed guards pin this).
 //
-// Plans have a compact textual grammar for --faults / EPICAST_FAULTS:
+// Plans have a compact textual grammar (epicast_sim --faults=...):
 //
 //   churn(period=1,down=0.3,policy=cold,start=0,stop=8)
 //   burst(p=0.05,r=0.5,start=2,stop=6)
@@ -90,11 +90,6 @@ struct FaultPlan {
 /// on malformed input.
 [[nodiscard]] std::optional<FaultPlan> parse_plan(const std::string& spec,
                                                   std::string* error = nullptr);
-
-/// The plan EPICAST_FAULTS specifies, read once per process; the empty plan
-/// when unset. Malformed specs abort — a silently ignored fault plan would
-/// invalidate whatever experiment asked for it.
-[[nodiscard]] const FaultPlan& default_fault_plan();
 
 /// Execution counters, filled by FaultController.
 struct FaultStats {

@@ -5,8 +5,7 @@
 // are always maintained (one increment per phase entry — cheap enough for
 // production runs and aggregated into ScenarioResult); nanosecond timing
 // costs two steady_clock reads per phase entry, so it is off by default and
-// enabled per scenario (ScenarioConfig::profile_hotpath / EPICAST_PROFILE=1
-// or by bench_hotpath).
+// enabled per scenario (ScenarioConfig::profile_hotpath).
 //
 // Phases nest (a dispatch includes the forwards and cache ops it triggers),
 // so per-phase ns are INCLUSIVE of nested phases; ops are exact.

@@ -48,11 +48,16 @@ enum class SizingMode {
 
 [[nodiscard]] const char* to_string(SizingMode m);
 
-/// Process-wide default sizing mode: SizingMode::Wire when the EPICAST_SIZING
-/// environment variable is "wire" (read once, first call), Nominal
-/// otherwise. Lets the whole test/bench suite run in wire mode without
-/// touching every config literal (the CI wire-sizing job does exactly that).
+/// Process-wide default sizing mode, the initial value of
+/// ScenarioConfig::sizing_mode and TransportConfig::sizing: Nominal unless a
+/// program's main() changed it (apply_environment() does, for
+/// EPICAST_SIZING=wire — how the whole test/bench suite runs in wire mode
+/// without touching every config literal).
 [[nodiscard]] SizingMode default_sizing_mode();
+
+/// Sets the process-wide default. Call before any config is constructed,
+/// from a single thread.
+void set_default_sizing_mode(SizingMode mode);
 
 /// Base class of everything the transport can carry.
 class Message {

@@ -77,6 +77,14 @@ enum class OverlayKind {
                                     std::uint32_t degree, double ws_rewire,
                                     Rng& rng);
 
+/// Whether make_overlay(kind, nodes, degree, ...) builds a tree whatever the
+/// rng: the paper's tree, and the families whose degree leaves one link per
+/// joining node or component (BA with m = 1, 1-regular, geometric with
+/// k = 1), each joined up by the connectivity patch. Every other
+/// configuration has at least `nodes` links, so a cycle.
+[[nodiscard]] bool overlay_is_tree(OverlayKind kind, std::uint32_t nodes,
+                                   std::uint32_t degree);
+
 // -- shape analysis (conformance tier) ---------------------------------------
 
 /// Degree histogram: hist[d] = number of nodes with degree d.

@@ -40,7 +40,7 @@ struct TransportConfig {
   double direct_loss_rate = 0.0;      ///< out-of-band loss
   /// Which message size the link model charges: the configured nominal
   /// constants (paper §IV-E accounting, the default) or the codec-computed
-  /// wire frame size. Follows EPICAST_SIZING unless overridden.
+  /// wire frame size. Starts at default_sizing_mode().
   SizingMode sizing = default_sizing_mode();
 };
 

@@ -18,9 +18,10 @@
 // (FailMode::Record, what the oracle self-tests use to prove each oracle
 // fires on bad input).
 //
-// Building with -DEPICAST_ORACLES=OFF (or running with EPICAST_ORACLES=0)
-// removes the wiring from run_scenario entirely, for overhead-sensitive
-// benchmarking; see docs/EXTENDING.md for how to register a new oracle.
+// Building with -DEPICAST_ORACLES=OFF (or setting ScenarioConfig::oracles
+// to false) removes the wiring from run_scenario entirely, for
+// overhead-sensitive benchmarking; see docs/EXTENDING.md for how to
+// register a new oracle.
 #pragma once
 
 #include <atomic>
@@ -196,10 +197,8 @@ class OracleSuite final : public TransportObserver {
 /// Installs the six built-in oracles (oracle/checks.hpp) into `suite`.
 void add_default_oracles(OracleSuite& suite);
 
-/// Whether run_scenario wires an OracleSuite by default: false when the
-/// library was built with EPICAST_ORACLES=OFF, otherwise true unless the
-/// EPICAST_ORACLES environment variable is "0"/"off" (read once, first
-/// call — same pattern as default_sizing_mode()).
+/// Whether the oracle wiring is compiled into run_scenario (the CMake option
+/// EPICAST_ORACLES, on by default) — the default of ScenarioConfig::oracles.
 [[nodiscard]] bool oracles_enabled_by_default();
 
 }  // namespace epicast::oracle

@@ -17,6 +17,12 @@
 
 namespace epicast {
 
+namespace oracle {
+/// Declared here so this header stays independent of the oracle module;
+/// documented in epicast/oracle/oracle.hpp.
+[[nodiscard]] bool oracles_enabled_by_default();
+}  // namespace oracle
+
 struct ScenarioConfig {
   // -- identity --------------------------------------------------------------
   std::uint64_t seed = 1;
@@ -96,59 +102,46 @@ struct ScenarioConfig {
 
   // -- fault injection ---------------------------------------------------------
   /// Declarative chaos plan (node churn, bursty links, slowdowns, scripted
-  /// partitions); times are relative to publish_start(). The default comes
-  /// from EPICAST_FAULTS; an empty plan constructs no controller at all and
-  /// the run is bit-identical to a fault-free build.
-  fault::FaultPlan faults = fault::default_fault_plan();
+  /// partitions); times are relative to publish_start(). Empty by default:
+  /// an empty plan constructs no controller at all and the run is
+  /// bit-identical to a fault-free build.
+  fault::FaultPlan faults;
 
   /// How message sizes are charged to links and byte counters: `Nominal`
   /// uses the configured constants (the paper's equal-size assumption —
   /// keeps published figures bit-identical), `Wire` uses the codec-computed
-  /// frame size of each message. Defaults from EPICAST_SIZING.
+  /// frame size of each message. Starts at default_sizing_mode(): Nominal
+  /// unless a program's main() set EPICAST_SIZING=wire through
+  /// apply_environment().
   SizingMode sizing_mode = default_sizing_mode();
 
   /// Wire the runtime conformance oracles (epicast/oracle) into the run:
   /// pure observers checking delivery/buffer/digest/wire safety properties
-  /// live, aborting on the first violation. Defaults on; EPICAST_ORACLES=0
-  /// (or a library built with -DEPICAST_ORACLES=OFF) turns them off for
-  /// overhead-sensitive benchmarking.
-  bool oracles = oracle_default_enabled();
-
-  /// oracle::oracles_enabled_by_default(), re-declared here so this header
-  /// stays independent of the oracle module.
-  [[nodiscard]] static bool oracle_default_enabled();
+  /// live, aborting on the first violation. On unless the library was built
+  /// with -DEPICAST_ORACLES=OFF; set false for overhead-sensitive
+  /// benchmarking.
+  bool oracles = oracle::oracles_enabled_by_default();
 
   /// Nanosecond timing for the hot-path phase profiler. Op counts are always
   /// collected (ScenarioResult::hotpath); enabling this adds two clock reads
-  /// per phase entry, so it is off by default. Defaults from
-  /// EPICAST_PROFILE=1. Timing changes no RNG draw and no simulated time:
-  /// results stay bit-identical either way.
-  bool profile_hotpath = profile_default_enabled();
-
-  /// True iff EPICAST_PROFILE is set to a truthy value ("1", "on").
-  [[nodiscard]] static bool profile_default_enabled();
+  /// per phase entry, so it is off by default. Timing changes no RNG draw
+  /// and no simulated time: results stay bit-identical either way.
+  bool profile_hotpath = false;
 
   /// Shard count of the conservative parallel engine (`--shards`). 1 (the
   /// default) runs the serial scheduler; K > 1 partitions the nodes into K
   /// contiguous blocks driven through per-shard heaps with cross-shard
   /// mailboxes. Results are bit-identical either way (the tests/parallel
-  /// tier proves it). Defaults from EPICAST_SHARDS.
-  std::uint32_t shards = shards_default();
-
-  /// EPICAST_SHARDS as a shard count; 1 when unset or invalid.
-  [[nodiscard]] static std::uint32_t shards_default();
+  /// tier proves it).
+  std::uint32_t shards = 1;
 
   /// Worker threads of the sharded engine (`--threads`). 1 (the default)
   /// executes windows serially on the calling thread; N > 1 drains shard
   /// lanes concurrently on a persistent pool, with deferred side effects
   /// replayed at window barriers so results stay byte-identical to the
   /// serial run for every thread count. Only meaningful with shards > 1;
-  /// the runner clamps to min(shards, host parallelism). Defaults from
-  /// EPICAST_THREADS.
-  std::uint32_t threads = threads_default();
-
-  /// EPICAST_THREADS as a thread count; 1 when unset or invalid.
-  [[nodiscard]] static std::uint32_t threads_default();
+  /// the runner clamps to min(shards, host parallelism).
+  std::uint32_t threads = 1;
 
   // -- link details -------------------------------------------------------------
   double link_bandwidth_bps = 10e6;         ///< 10 Mbit/s Ethernet (§IV-A)
@@ -189,6 +182,13 @@ struct ScenarioConfig {
 
   /// Aborts (with a message) on inconsistent parameters.
   void validate() const;
+
+  /// The flood bootstrap simulates the paper's subscription forwarding,
+  /// which converges only on an acyclic overlay: a message naming that
+  /// conflict when `bootstrap` is Flood and the overlay is not a tree
+  /// (overlay_is_tree, net/overlays.hpp), else nullptr.
+  /// validate() aborts on it; front ends report it as a usage error.
+  [[nodiscard]] const char* bootstrap_conflict() const;
 
   /// Paper defaults (Fig. 2) with the given algorithm.
   [[nodiscard]] static ScenarioConfig paper_defaults(Algorithm algorithm);

@@ -18,7 +18,7 @@
 namespace epicast {
 
 /// Runs all configs on a SweepRunner with `max_parallel` worker threads
-/// (0 = EPICAST_JOBS / hardware concurrency). Prints one progress line per
+/// (0 = every CPU this process may use). Prints one progress line per
 /// finished run to stderr when `verbose`. Results are returned in input
 /// order.
 [[nodiscard]] std::vector<LabeledResult> run_sweep(

@@ -29,8 +29,8 @@ struct LabeledResult {
 };
 
 struct SweepOptions {
-  /// Worker threads. 0 resolves via EPICAST_JOBS, then
-  /// hardware_concurrency (see SweepRunner::resolve_jobs).
+  /// Worker threads. 0 resolves to the CPUs this process may use (see
+  /// SweepRunner::resolve_jobs).
   unsigned jobs = 0;
   /// Print one progress line per finished scenario to stderr.
   bool progress = true;
@@ -75,10 +75,9 @@ class SweepRunner {
   /// Timings of the most recent run().
   [[nodiscard]] const SweepStats& last_stats() const { return stats_; }
 
-  /// 0 → EPICAST_JOBS environment variable, if unset/invalid →
-  /// available_parallelism(), never less than 1. An explicit request (arg
-  /// or env) is honored verbatim; only the auto-detected default is clamped
-  /// to the CPUs this process may actually run on.
+  /// 0 → available_parallelism(). An explicit request is honored verbatim;
+  /// only the auto-detected default is clamped to the CPUs this process may
+  /// actually run on.
   [[nodiscard]] static unsigned resolve_jobs(unsigned requested);
 
   /// CPUs available to this process: hardware_concurrency clamped to the

@@ -1,6 +1,5 @@
 #include "epicast/common/message_pool.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "epicast/common/assert.hpp"
@@ -19,26 +18,17 @@ constexpr std::size_t class_bytes(std::size_t c) {
   return (c + 1) * MessagePool::kGranularity;
 }
 
+#ifdef EPICAST_ASAN
+MessagePool::Mode g_default_mode = MessagePool::Mode::PassThrough;
+#else
+MessagePool::Mode g_default_mode = MessagePool::Mode::Pooling;
+#endif
+
 }  // namespace
 
-MessagePool::Mode MessagePool::default_mode() {
-  static const Mode mode = [] {
-    if (const char* v = std::getenv("EPICAST_POOL")) {
-      if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) {
-        return Mode::PassThrough;
-      }
-      if (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0) {
-        return Mode::Pooling;
-      }
-    }
-#ifdef EPICAST_ASAN
-    return Mode::PassThrough;
-#else
-    return Mode::Pooling;
-#endif
-  }();
-  return mode;
-}
+MessagePool::Mode MessagePool::default_mode() { return g_default_mode; }
+
+void MessagePool::set_default_mode(Mode mode) { g_default_mode = mode; }
 
 MessagePool::MessagePool(Mode mode) : state_(std::make_shared<State>(mode)) {}
 

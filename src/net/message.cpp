@@ -1,9 +1,11 @@
 #include "epicast/net/message.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 namespace epicast {
+namespace {
+
+SizingMode g_default_sizing = SizingMode::Nominal;
+
+}  // namespace
 
 const char* to_string(MessageClass c) {
   switch (c) {
@@ -24,14 +26,8 @@ const char* to_string(SizingMode m) {
   return "?";
 }
 
-SizingMode default_sizing_mode() {
-  static const SizingMode mode = [] {
-    const char* v = std::getenv("EPICAST_SIZING");
-    return (v != nullptr && std::string_view(v) == "wire")
-               ? SizingMode::Wire
-               : SizingMode::Nominal;
-  }();
-  return mode;
-}
+SizingMode default_sizing_mode() { return g_default_sizing; }
+
+void set_default_sizing_mode(SizingMode mode) { g_default_sizing = mode; }
 
 }  // namespace epicast

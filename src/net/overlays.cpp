@@ -283,6 +283,23 @@ Topology make_overlay(OverlayKind kind, std::uint32_t nodes,
   EPICAST_UNREACHABLE("unknown overlay kind");
 }
 
+bool overlay_is_tree(OverlayKind kind, std::uint32_t nodes,
+                     std::uint32_t degree) {
+  switch (kind) {
+    case OverlayKind::Tree:
+      return true;
+    case OverlayKind::BarabasiAlbert:  // same m as make_overlay
+      return std::min(std::max(1u, degree / 2), nodes - 1) <= 1;
+    case OverlayKind::WattsStrogatz:   // the ring alone has `nodes` links
+      return false;
+    case OverlayKind::RandomRegular:   // a matching
+      return degree <= 1;
+    case OverlayKind::GeoCluster:      // a nearest-neighbour forest
+      return std::min(degree, nodes - 1) <= 1;
+  }
+  EPICAST_UNREACHABLE("unknown overlay kind");
+}
+
 std::vector<std::uint32_t> degree_histogram(const Topology& t) {
   std::vector<std::uint32_t> hist;
   for (std::uint32_t i = 0; i < t.node_count(); ++i) {

@@ -1,7 +1,5 @@
 #include "epicast/oracle/oracle.hpp"
 
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "epicast/common/assert.hpp"
@@ -98,13 +96,7 @@ bool oracles_enabled_by_default() {
 #ifdef EPICAST_NO_ORACLES
   return false;
 #else
-  static const bool enabled = [] {
-    const char* v = std::getenv("EPICAST_ORACLES");
-    if (v == nullptr) return true;
-    const std::string_view s(v);
-    return s != "0" && s != "off" && s != "OFF" && s != "false";
-  }();
-  return enabled;
+  return true;
 #endif
 }
 

@@ -83,7 +83,7 @@ AsyncRuntime::AsyncRuntime(AsyncRuntimeConfig config)
         "sizing (requested: " +
         std::string(to_string(config_.sizing)) +
         ") would misaccount link occupancy. Set sizing=wire in the cluster "
-        "config or EPICAST_SIZING=wire.");
+        "config (AsyncRuntimeConfig::sizing).");
   }
   if (config_.inbound_queue_capacity == 0) {
     throw std::invalid_argument("inbound_queue_capacity must be > 0");

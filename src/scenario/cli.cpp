@@ -176,6 +176,9 @@ CliParse parse_cli(const std::vector<std::string>& args) {
   if (reconfig_given && !epsilon_given) {
     out.config.link_error_rate = 0.0;
   }
+  if (const char* conflict = out.config.bootstrap_conflict()) {
+    out.error = conflict;
+  }
   return out;
 }
 
@@ -190,12 +193,10 @@ std::string cli_usage() {
       "                  random-pull\n"
       "  --nodes=N       dispatchers (default 100)\n"
       "  --shards=K      conservative parallel engine shard count (default\n"
-      "                  1 = serial; also: EPICAST_SHARDS; results are\n"
-      "                  bit-identical for every K)\n"
+      "                  1 = serial; results are bit-identical for every K)\n"
       "  --threads=N     worker threads draining shard lanes (default 1;\n"
-      "                  also: EPICAST_THREADS; clamped to shards and host\n"
-      "                  parallelism, floored at 4; results are\n"
-      "                  bit-identical for every N)\n"
+      "                  clamped to shards and host parallelism, floored\n"
+      "                  at 4; results are bit-identical for every N)\n"
       "  --epsilon=E     link error rate (default 0.1)\n"
       "  --rate=R        publishes per second per dispatcher (default 50)\n"
       "  --beta=B        retransmission buffer size (default 1500)\n"
@@ -223,13 +224,14 @@ std::string cli_usage() {
       "                  (default 0 = every dispatcher publishes)\n"
       "  --sub-skew=S    power-law skew of per-node subscription counts\n"
       "                  (default 0 = exactly pi_max each)\n"
-      "  --bootstrap=M   flood (default): simulate subscription floods;\n"
-      "                  oracle: install converged routes directly (scale)\n"
+      "  --bootstrap=M   flood (default): simulate subscription floods\n"
+      "                  (acyclic overlays only); oracle: install converged\n"
+      "                  routes directly (scale, cyclic overlays)\n"
       "  --oob-loss=E    out-of-band channel loss (default: epsilon)\n"
       "  --faults=PLAN   chaos plan, ';'-separated processes, e.g.\n"
       "                  'churn(period=1,down=0.3);burst(p=0.05,r=0.5)'\n"
-      "                  (also: EPICAST_FAULTS; times relative to publish\n"
-      "                  start; see include/epicast/fault/plan.hpp)\n"
+      "                  (times relative to publish start; see\n"
+      "                  include/epicast/fault/plan.hpp)\n"
       "  --pull-timeout=S  request timeout enabling retry hardening\n"
       "                  (default 0 = off, the paper's behaviour)\n"
       "  --pull-retries=N  retries before a request is abandoned (3)\n"

@@ -1,11 +1,8 @@
 #include "epicast/scenario/config.hpp"
 
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 
 #include "epicast/common/assert.hpp"
-#include "epicast/oracle/oracle.hpp"
 
 namespace epicast {
 
@@ -43,7 +40,20 @@ void ScenarioConfig::validate() const {
   EPICAST_ASSERT(gossip.request_backoff >= 1.0);
   EPICAST_ASSERT_MSG(shards >= 1, "shard count must be at least 1");
   EPICAST_ASSERT_MSG(threads >= 1, "thread count must be at least 1");
+  EPICAST_ASSERT_MSG(bootstrap_conflict() == nullptr, bootstrap_conflict());
   faults.validate();
+}
+
+const char* ScenarioConfig::bootstrap_conflict() const {
+  const std::uint32_t degree =
+      overlay == OverlayKind::Tree ? max_degree : overlay_degree;
+  if (bootstrap == SubscriptionBootstrap::Flood &&
+      !overlay_is_tree(overlay, nodes, degree)) {
+    return "flood bootstrap needs an acyclic overlay (subscription "
+           "forwarding does not converge on cyclic overlays); use "
+           "--bootstrap=oracle";
+  }
+  return nullptr;
 }
 
 ScenarioConfig ScenarioConfig::paper_defaults(Algorithm algorithm) {
@@ -101,44 +111,6 @@ std::string ScenarioConfig::describe() const {
     os << "threads                          " << threads << '\n';
   }
   return os.str();
-}
-
-bool ScenarioConfig::oracle_default_enabled() {
-  return oracle::oracles_enabled_by_default();
-}
-
-std::uint32_t ScenarioConfig::shards_default() {
-  static const std::uint32_t shards = []() -> std::uint32_t {
-    const char* env = std::getenv("EPICAST_SHARDS");
-    if (env == nullptr || *env == '\0') return 1;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1 || v > 4096) return 1;
-    return static_cast<std::uint32_t>(v);
-  }();
-  return shards;
-}
-
-std::uint32_t ScenarioConfig::threads_default() {
-  static const std::uint32_t threads = []() -> std::uint32_t {
-    const char* env = std::getenv("EPICAST_THREADS");
-    if (env == nullptr || *env == '\0') return 1;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1 || v > 4096) return 1;
-    return static_cast<std::uint32_t>(v);
-  }();
-  return threads;
-}
-
-bool ScenarioConfig::profile_default_enabled() {
-  static const bool enabled = []() {
-    const char* env = std::getenv("EPICAST_PROFILE");
-    if (env == nullptr) return false;
-    const std::string_view v(env);
-    return v == "1" || v == "on" || v == "ON";
-  }();
-  return enabled;
 }
 
 }  // namespace epicast

@@ -117,7 +117,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   MessageStats stats(cfg.nodes, cfg.sizing_mode);
   transport.add_observer(stats);
 
-  // Sharded conservative engine (--shards/EPICAST_SHARDS). The engine forks
+  // Sharded conservative engine (ScenarioConfig::shards). The engine forks
   // no RNG streams and, because every lane draws its tie-break sequence
   // from one shared counter, executes events in exactly the serial order —
   // results are bit-identical for every shard count (the tests/parallel

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
@@ -27,15 +26,7 @@ SweepRunner::SweepRunner(SweepOptions options)
     : options_(options), jobs_(resolve_jobs(options.jobs)) {}
 
 unsigned SweepRunner::resolve_jobs(unsigned requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("EPICAST_JOBS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0 && parsed < 4096) {
-      return static_cast<unsigned>(parsed);
-    }
-  }
-  return available_parallelism();
+  return requested > 0 ? requested : available_parallelism();
 }
 
 unsigned SweepRunner::available_parallelism() {

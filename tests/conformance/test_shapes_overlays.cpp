@@ -90,4 +90,31 @@ TEST(Overlays, GenerationIsDeterministic) {
   }
 }
 
+/// overlay_is_tree is what admits flood bootstrap on a scale family, so it
+/// must name exactly the configurations whose built overlay is a tree
+/// (connected with nodes - 1 links), on every family, degree and seed.
+TEST(Overlays, OverlayIsTreeMatchesTheBuiltTopology) {
+  for (OverlayKind kind :
+       {OverlayKind::Tree, OverlayKind::BarabasiAlbert,
+        OverlayKind::WattsStrogatz, OverlayKind::RandomRegular,
+        OverlayKind::GeoCluster}) {
+    for (std::uint32_t nodes : {3u, 10u, 60u, 500u}) {
+      for (std::uint32_t degree : {1u, 2u, 3u, 4u, 6u}) {
+        if (kind == OverlayKind::Tree && degree < 2) continue;
+        if (kind == OverlayKind::RandomRegular && degree >= nodes) continue;
+        const bool tree = overlay_is_tree(kind, nodes, degree);
+        for (std::uint64_t seed : kSeeds) {
+          Rng rng(seed);
+          const Topology t = make_overlay(kind, nodes, degree, 0.1, rng);
+          ASSERT_TRUE(t.connected());
+          EXPECT_EQ(tree, t.link_count() == nodes - 1)
+              << to_string(kind) << " nodes " << nodes << " degree "
+              << degree << " seed " << seed << ": " << t.link_count()
+              << " links";
+        }
+      }
+    }
+  }
+}
+
 }  // namespace

@@ -9,13 +9,12 @@
 #include <string>
 
 #include "epicast/fault/plan.hpp"
-#include "epicast/metrics/result_json.hpp"
+#include "epicast/scenario/report.hpp"
 #include "epicast/scenario/runner.hpp"
+#include "scenario_builders.hpp"
 
 namespace epicast {
 namespace {
-
-using metrics::result_json;
 
 /// Small but complete scenario: every phase (flood, warmup, window,
 /// recovery horizon) runs, every protocol path is exercised.
@@ -127,13 +126,33 @@ TEST(ShardEquivalenceSpecial, OracleBootstrapWithRestrictedPublishers) {
   expect_equivalent(cfg, "oracle bootstrap, 120 nodes, 12 publishers");
 }
 
+TEST(ShardEquivalenceSpecial, ScaleScenarioAtAThousandNodes) {
+  // The scale figures' operating point at a realistic size (random
+  // 4-regular overlay, converged routes, 16 publishers), windows trimmed.
+  ScenarioConfig cfg = figures::scale(Algorithm::CombinedPull,
+                                      OverlayKind::RandomRegular, 1000, 1.0);
+  cfg.warmup = Duration::seconds(0.5);
+  cfg.recovery_horizon = Duration::seconds(1.0);
+  const std::string serial = result_json(run_scenario(cfg));
+  cfg.shards = 4;
+  for (const std::uint32_t t : {1u, 4u}) {
+    cfg.threads = t;
+    EXPECT_EQ(result_json(run_scenario(cfg)), serial) << "threads=" << t;
+  }
+}
+
 TEST(ShardEquivalenceSpecial, ShardsClampToNodeCount) {
-  // More shards than nodes clamps rather than creating empty lanes.
+  // More shards than nodes clamps rather than creating empty lanes, with
+  // and without the worker pool.
   ScenarioConfig cfg = quick(Algorithm::SubscriberPull, 2);
   cfg.shards = 1;
+  cfg.threads = 1;
   const std::string serial = result_json(run_scenario(cfg));
   cfg.shards = 64;  // > nodes = 20
-  EXPECT_EQ(result_json(run_scenario(cfg)), serial);
+  for (const std::uint32_t t : {1u, 4u}) {
+    cfg.threads = t;
+    EXPECT_EQ(result_json(run_scenario(cfg)), serial) << "threads=" << t;
+  }
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 // the threaded engine touches — mailbox posts from worker lanes, deferred
 // observer/oracle/tracker replay, pool hand-offs of cross-shard
 // MessagePtrs, fault-filter reads of master-written crash state — and are
-// meant to run under TSan (ctest -L parallel on the sanitizer job, with
-// EPICAST_THREADS=4). Functionally they assert the same byte-identity
-// contract as the equivalence tier, so they also earn their keep in plain
-// builds.
+// meant to run under TSan (ctest -L parallel on the sanitizer job; each
+// test pins its thread counts). Functionally they assert the same
+// byte-identity contract as the equivalence tier, so they also earn their
+// keep in plain builds.
 #include <gtest/gtest.h>
 
 #include <string>

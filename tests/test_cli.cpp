@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "epicast/scenario/runner.hpp"
+
 namespace epicast {
 namespace {
 
@@ -86,6 +88,33 @@ TEST(Cli, RejectsUnknownFlagsAndBadValues) {
   EXPECT_TRUE(parse({"--algorithm=magic"}).error.has_value());
   EXPECT_TRUE(parse({"stray"}).error.has_value());
   EXPECT_TRUE(parse({"--interval=-0.1"}).error.has_value());
+}
+
+TEST(Cli, FloodBootstrapOnCyclicOverlaysIsAUsageError) {
+  for (const char* overlay :
+       {"--overlay=barabasi-albert", "--overlay=watts-strogatz",
+        "--overlay=random-regular", "--overlay=geo-cluster"}) {
+    const CliParse flood = parse({overlay, "--nodes=60"});
+    ASSERT_TRUE(flood.error.has_value()) << overlay;
+    EXPECT_NE(flood.error->find("--bootstrap=oracle"), std::string::npos);
+    EXPECT_TRUE(parse({overlay, "--bootstrap=flood"}).error.has_value());
+
+    const CliParse oracle = parse({overlay, "--bootstrap=oracle"});
+    EXPECT_FALSE(oracle.error.has_value()) << overlay;
+    oracle.config.validate();  // must not die
+  }
+  EXPECT_FALSE(parse({"--overlay=tree", "--bootstrap=flood"}).error);
+  // Degree 2 gives Barabási–Albert one attachment per node, degree 1 a
+  // matching or a nearest-neighbour forest: trees, where the floods run.
+  for (const char* overlay :
+       {"--overlay=barabasi-albert", "--overlay=random-regular",
+        "--overlay=geo-cluster"}) {
+    const CliParse p = parse({overlay, "--overlay-degree=1", "--nodes=40",
+                              "--measure=0.5", "--horizon=0.5"});
+    ASSERT_FALSE(p.error.has_value()) << overlay << " " << *p.error;
+    EXPECT_GT(run_scenario(p.config).delivered_pairs, 0u) << overlay;
+  }
+  EXPECT_FALSE(parse({"--overlay=barabasi-albert", "--overlay-degree=2"}).error);
 }
 
 TEST(Cli, ParsedConfigValidates) {

@@ -170,8 +170,8 @@ TEST(Determinism, WireModeMatchesSeedReference) {
 
 TEST(Determinism, ShardingIsOptIn) {
   // The parallel engine only engages when asked: the default config (no
-  // EPICAST_SHARDS in the environment, no --shards flag) is serial, so
-  // every existing pin and published figure runs the serial scheduler.
+  // --shards flag) is serial, so every existing pin and published figure
+  // runs the serial scheduler.
   EXPECT_EQ(ScenarioConfig{}.shards, 1u);
   EXPECT_EQ(ScenarioConfig::paper_defaults(Algorithm::Push).shards, 1u);
 }

@@ -132,21 +132,5 @@ TEST(MessagePool, ManyLiveObjectsStayIntact) {
   EXPECT_EQ(pool.stats().live(), 0u);
 }
 
-TEST(MessagePool, DefaultModeIsEnvAndSanitizerAware) {
-#if defined(EPICAST_ASAN)
-  const MessagePool::Mode expected_plain = MessagePool::Mode::PassThrough;
-#else
-  const MessagePool::Mode expected_plain = MessagePool::Mode::Pooling;
-#endif
-  const char* v = std::getenv("EPICAST_POOL");
-  MessagePool::Mode expected = expected_plain;
-  if (v && (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0))
-    expected = MessagePool::Mode::PassThrough;
-  if (v && (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0))
-    expected = MessagePool::Mode::Pooling;
-  EXPECT_EQ(MessagePool::default_mode(), expected);
-  EXPECT_EQ(MessagePool().mode(), MessagePool::default_mode());
-}
-
 }  // namespace
 }  // namespace epicast

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 
 namespace epicast {
@@ -121,16 +120,6 @@ TEST(SweepRunner, EmptySweepIsANoop) {
   EXPECT_EQ(runner.last_stats().scenarios, 0u);
 }
 
-TEST(SweepRunner, ResolveJobsPrefersExplicitThenEnvThenHardware) {
-  ASSERT_EQ(setenv("EPICAST_JOBS", "3", 1), 0);
-  EXPECT_EQ(SweepRunner::resolve_jobs(5), 5u);
-  EXPECT_EQ(SweepRunner::resolve_jobs(0), 3u);
-  ASSERT_EQ(setenv("EPICAST_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(SweepRunner::resolve_jobs(0), 1u);
-  ASSERT_EQ(unsetenv("EPICAST_JOBS"), 0);
-  EXPECT_GE(SweepRunner::resolve_jobs(0), 1u);
-}
-
 TEST(SweepRunner, AvailableParallelismIsClampedToAffinity) {
   const unsigned avail = SweepRunner::available_parallelism();
   EXPECT_GE(avail, 1u);
@@ -139,10 +128,9 @@ TEST(SweepRunner, AvailableParallelismIsClampedToAffinity) {
     EXPECT_LE(avail, hw);
   }
 
-  // Auto-detection (no explicit request, no env) must resolve to exactly
-  // the clamped value — oversubscribing a restricted affinity mask is the
+  // Auto-detection (no explicit request) must resolve to exactly the
+  // clamped value — oversubscribing a restricted affinity mask is the
   // regression this pins.
-  ASSERT_EQ(unsetenv("EPICAST_JOBS"), 0);
   EXPECT_EQ(SweepRunner::resolve_jobs(0), avail);
   // Explicit requests are honoured verbatim, even beyond the clamp.
   EXPECT_EQ(SweepRunner::resolve_jobs(avail + 7), avail + 7);
