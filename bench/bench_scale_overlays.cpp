@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
           "\"gossip_bytes_per_dispatcher\": %.1f, "
           "\"events_published\": %llu, "
           "\"memory\": {\"topology_bytes\": %zu, \"routing_bytes\": %zu, "
-          "\"seen_bytes\": %zu, \"cache_bytes\": %zu, \"watermark_bytes\": %zu, "
+          "\"seen_bytes\": %zu, \"cache_bytes\": %zu, "
           "\"tracker_bytes\": %zu, "
           "\"total_bytes\": %zu, \"bytes_per_node\": %.1f}}",
           i == 0 ? "" : ",", c.overlay.c_str(), c.nodes, c.algorithm.c_str(),
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
           c.result.gossip_bytes_per_dispatcher,
           static_cast<unsigned long long>(c.result.events_published),
           m.topology_bytes, m.routing_bytes, m.seen_bytes, m.cache_bytes,
-          m.watermark_bytes, m.tracker_bytes, m.total_bytes(), m.bytes_per_node());
+          m.tracker_bytes, m.total_bytes(), m.bytes_per_node());
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
       "redundancy masks eps = 0.1 loss, unlike the paper's tree), so "
       "recovery deltas are largest at small N and on the clustered "
       "geo family; the seen-set shrinks ~30x crossing the sparse SeenSet "
-      "threshold (2048 sources), and the witnessed stream watermarks are "
-      "the dominant per-node term at 10^4 nodes.");
+      "threshold (2048 sources), and the beta-bounded retransmission "
+      "buffers are the dominant per-node term at 10^4 nodes.");
   return 0;
 }

@@ -1,11 +1,11 @@
 // epicast — flat open-addressed hash table for small, trivially copyable
 // keys and values.
 //
-// The per-event bookkeeping (stream watermarks, the retransmission buffer's
-// indexes, the sparse seen-id layout) is probed once per pattern of every
-// event a dispatcher handles. Node-based maps pay a pointer chase and a heap
-// node per entry there; this table keeps (key, value) pairs inline in one
-// power-of-two slot array:
+// The per-event bookkeeping (the retransmission buffer's indexes, the
+// sparse seen-id layout, the oracles' delivery sets) is probed once per
+// pattern or delivery of every event a dispatcher handles. Node-based maps
+// pay a pointer chase and a heap node per entry there; this table keeps
+// (key, value) pairs inline in one power-of-two slot array:
 //   * linear probing from the key's hash, so a probe walks adjacent slots;
 //   * at most 3/4 of the slots occupied, doubling when an insert would
 //     pass that;
@@ -22,6 +22,8 @@
 //     static std::uint64_t hash(const Key& k) noexcept;
 //   };
 //
+// With `Value` = NoValue the table is a set: the value takes no slot space.
+//
 // Pointers returned by find() and try_emplace() stay valid until the next
 // try_emplace() or erase().
 #pragma once
@@ -30,6 +32,8 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "epicast/common/ids.hpp"
 
 namespace epicast {
 
@@ -50,6 +54,19 @@ struct U64KeyTraits {
   static std::uint64_t hash(std::uint64_t key) noexcept { return mix64(key); }
 };
 
+/// Traits for exact EventId keys. NodeId::invalid() never publishes, so
+/// the all-ones id is free to mark empty slots.
+struct EventIdKeyTraits {
+  static constexpr EventId kEmpty{NodeId::invalid(), ~std::uint64_t{0}};
+  static std::uint64_t hash(const EventId& id) noexcept {
+    return mix64((static_cast<std::uint64_t>(id.source.value()) << 40) ^
+                 id.source_seq);
+  }
+};
+
+/// The value type of a FlatTable used as a set.
+struct NoValue {};
+
 template <class Key, class Value, class Traits>
 class FlatTable {
  public:
@@ -57,7 +74,7 @@ class FlatTable {
 
   struct Slot {
     Key key;
-    Value value;
+    [[no_unique_address]] Value value;
   };
 
   [[nodiscard]] std::size_t size() const { return size_; }

@@ -17,6 +17,11 @@
 // Heartbeats carry the sender's incarnation (journal boot count). An
 // incarnation jump is a restart observation: the peer died and came back —
 // the returned-callback re-attaches its links and re-advertises routes.
+//
+// Heartbeats double as anti-entropy: each carries a rotating slice of the
+// node's witnessed stream watermarks (WitnessedMarks below). The detector
+// owns that table because heartbeats are its only reader; the daemon feeds
+// it every event the dispatcher accepts. The simulator keeps no such table.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "epicast/common/flat_table.hpp"
 #include "epicast/pubsub/dispatcher.hpp"
 #include "epicast/pubsub/messages.hpp"
 #include "epicast/runtime/async_runtime.hpp"
@@ -37,10 +43,35 @@ struct FailureDetectorConfig {
   /// This node's boot count, carried in every heartbeat.
   std::uint64_t incarnation = 1;
   /// Stream watermarks piggybacked per heartbeat (anti-entropy): each beat
-  /// carries the next `marks_per_beat` entries of the recovery protocol's
-  /// witnessed-watermark table, rotating through it. 0 disables the
-  /// piggyback (pure liveness beacons).
+  /// carries the next `marks_per_beat` entries of the detector's
+  /// WitnessedMarks, rotating through them. 0 disables the piggyback (pure
+  /// liveness beacons) and the table stays empty.
   std::size_t marks_per_beat = 64;
+};
+
+/// The highest sequence number witnessed per (source, pattern) stream. A
+/// mark means "this seq exists", not "I can serve it": every accepted
+/// event advances it, cached or not, subscribed or not. Streams are kept
+/// in the order they were first witnessed, and next_slice() rotates
+/// through that order, so each mark goes out once per cycle even while new
+/// streams appear.
+class WitnessedMarks {
+ public:
+  /// Advances the mark of each of the event's streams.
+  void note(const EventData& event);
+
+  /// Appends the next min(max_entries, size()) marks of the rotation to
+  /// `out` and moves the rotation past them; O(max_entries).
+  void next_slice(std::size_t max_entries, std::vector<StreamMark>& out);
+
+  /// Streams witnessed so far.
+  [[nodiscard]] std::size_t size() const { return order_.size(); }
+
+ private:
+  /// Keyed by source << 32 | pattern.
+  FlatTable<std::uint64_t, std::uint64_t, U64KeyTraits> high_;
+  std::vector<std::uint64_t> order_;
+  std::size_t cursor_ = 0;  ///< next position of the rotation in order_
 };
 
 class FailureDetector {
@@ -70,6 +101,14 @@ class FailureDetector {
   /// HeartbeatMessage arrived (the dispatcher's heartbeat listener).
   void on_heartbeat(NodeId from, const HeartbeatMessage& hb);
 
+  /// An event this node accepted (the dispatcher's accept listener) or
+  /// preloaded from a warm-restart snapshot: advances the witnessed marks
+  /// unless marks_per_beat is 0.
+  void witness(const EventData& event) {
+    if (cfg_.marks_per_beat > 0) marks_.note(event);
+  }
+  [[nodiscard]] const WitnessedMarks& marks() const { return marks_; }
+
   [[nodiscard]] bool suspected(NodeId peer) const;
   [[nodiscard]] bool confirmed_dead(NodeId peer) const;
   [[nodiscard]] const FailureDetectorConfig& config() const { return cfg_; }
@@ -93,8 +132,7 @@ class FailureDetector {
   PeerCallback on_returned_;
   std::unordered_map<std::uint32_t, PeerState> peers_;
   runtime::PeriodicTimer timer_;
-  /// Rotation position in the recovery protocol's watermark table.
-  std::size_t mark_cursor_ = 0;
+  WitnessedMarks marks_;
   std::vector<StreamMark> marks_scratch_;
 };
 

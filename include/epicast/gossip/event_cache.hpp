@@ -94,14 +94,6 @@ class EventCache {
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  struct IdTraits {
-    /// NodeId::invalid() never publishes.
-    static constexpr EventId kEmpty{NodeId::invalid(), ~std::uint64_t{0}};
-    static std::uint64_t hash(const EventId& id) noexcept {
-      return mix64((static_cast<std::uint64_t>(id.source.value()) << 40) ^
-                   id.source_seq);
-    }
-  };
   struct SpKey {
     NodeId source;
     Pattern pattern;
@@ -152,7 +144,7 @@ class EventCache {
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
   /// Event id → slot.
-  FlatTable<EventId, std::uint32_t, IdTraits> by_id_;
+  FlatTable<EventId, std::uint32_t, EventIdKeyTraits> by_id_;
   /// (source, pattern, seq) → slot, one entry per pattern of each event.
   FlatTable<SpKey, std::uint32_t, SpKeyTraits> by_stream_seq_;
   /// For Random eviction: dense slot vector enabling O(1) uniform sampling.

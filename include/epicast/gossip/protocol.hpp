@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "epicast/common/flat_table.hpp"
 #include "epicast/gossip/adaptive_interval.hpp"
 #include "epicast/gossip/config.hpp"
 #include "epicast/gossip/event_cache.hpp"
@@ -49,21 +48,6 @@ class GossipProtocolBase : public RecoveryProtocol {
   /// Warm-restart snapshot restore: inserts `events` into the
   /// retransmission buffer (normal eviction applies).
   void preload_cache(const std::vector<EventPtr>& events) override;
-
-  /// Rotating slice of the stream watermarks this node has witnessed (every
-  /// event crossing the dispatcher advances them, cached or not — a mark
-  /// means "this seq exists", not "I can serve it"). Piggybacked on
-  /// heartbeats by the daemon's failure detector. The rotation follows the
-  /// order streams were first witnessed, so each mark goes out once per
-  /// cycle even while new streams appear; O(max_entries) per call.
-  std::size_t stream_marks_into(std::size_t cursor, std::size_t max_entries,
-                                std::vector<StreamMark>& out) const override;
-
-  /// Bytes owned by the witnessed-watermark table and its rotation order.
-  [[nodiscard]] std::size_t watermark_memory_bytes() const override {
-    return stream_marks_.memory_bytes() +
-           stream_order_.capacity() * sizeof(std::uint64_t);
-  }
 
   /// Default behaviour: cache the event iff this dispatcher is responsible
   /// for it — it is the publisher or a local subscriber (§IV-A). Pull
@@ -187,8 +171,6 @@ class GossipProtocolBase : public RecoveryProtocol {
 
  private:
   void run_round();
-  /// Advances the witnessed watermark for each of the event's streams.
-  void note_stream_marks(const EventData& event);
   /// Schedules the deadline check for a pending request (retry hardening).
   void track_request(NodeId to, std::vector<EventId> ids,
                      std::uint32_t attempt);
@@ -210,13 +192,6 @@ class GossipProtocolBase : public RecoveryProtocol {
   /// empty unless retry_hardening().
   std::unordered_map<std::uint32_t, std::uint32_t> peer_timeouts_;
   std::uint64_t restart_epoch_ = 0;
-  /// Highest sequence number witnessed per (source, pattern) — the feed
-  /// for stream_marks_into() — keyed by source << 32 | pattern. Streams
-  /// are appended to stream_order_ when first witnessed, so a rotation
-  /// cursor into it stays valid as new streams appear. Both are cleared on
-  /// cold restart along with the cache.
-  FlatTable<std::uint64_t, std::uint64_t, U64KeyTraits> stream_marks_;
-  std::vector<std::uint64_t> stream_order_;
 };
 
 /// The baseline: plain best-effort dispatching, no recovery (§IV's

@@ -25,28 +25,30 @@
 #include <cstddef>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
+#include "epicast/common/flat_table.hpp"
 #include "epicast/oracle/oracle.hpp"
 #include "epicast/wire/buffer.hpp"
 
 namespace epicast::oracle {
 
-/// Key of one (event, subscriber) delivery pair.
-struct DeliveryKey {
-  EventId event;
-  NodeId node;
+/// A set of exact event ids.
+using EventIdSet = FlatTable<EventId, NoValue, EventIdKeyTraits>;
 
-  friend constexpr auto operator<=>(const DeliveryKey&,
-                                    const DeliveryKey&) = default;
-};
-
-struct DeliveryKeyHash {
-  std::size_t operator()(const DeliveryKey& k) const noexcept {
-    return std::hash<EventId>{}(k.event) ^
-           (std::hash<NodeId>{}(k.node) * 0x9e3779b97f4a7c15ULL);
+/// A set of (event, node) pairs: one flat set of exact event ids per node,
+/// indexed by the node id.
+class NodeEventSet {
+ public:
+  /// Adds the pair; returns false if it was already present.
+  bool insert(NodeId node, const EventId& id);
+  [[nodiscard]] bool contains(NodeId node, const EventId& id) const {
+    return node.value() < by_node_.size() &&
+           by_node_[node.value()].contains(id);
   }
+
+ private:
+  std::vector<EventIdSet> by_node_;
 };
 
 /// 1. No duplicate delivery per (event, subscriber) — the dispatcher's
@@ -58,7 +60,7 @@ class UniqueDeliveryOracle final : public Oracle {
   void on_delivery(NodeId node, const EventPtr& event, bool recovered) override;
 
  private:
-  std::unordered_set<DeliveryKey, DeliveryKeyHash> delivered_;
+  NodeEventSet delivered_;
 };
 
 /// 2. Delivery only to matching subscribers: the delivering node's
@@ -91,9 +93,9 @@ class ConservationOracle final : public Oracle {
                bool overlay) override;
 
  private:
-  std::unordered_set<EventId> published_;
+  EventIdSet published_;
   /// (event, destination) pairs offered via a retransmission reply.
-  std::unordered_set<DeliveryKey, DeliveryKeyHash> offered_;
+  NodeEventSet offered_;
 };
 
 /// 4. Buffer occupancy ≤ β. Checked on every gossip send of a node exposing

@@ -9,7 +9,8 @@
 //
 // The optional RecoveryProtocol (epicast/gossip) is notified of every
 // accepted event and receives all gossip-class traffic; recovered events
-// re-enter through accept_recovered().
+// re-enter through accept_recovered(). An optional accept listener sees
+// every accepted event too.
 //
 // Clients are not modelled (paper §IV-A): subscribe()/publish() are invoked
 // directly on the dispatcher, which "is a subscriber if at least one of its
@@ -100,6 +101,16 @@ class Dispatcher final : public TransportReceiver {
       std::function<void(NodeId node, const EventPtr&, bool recovered)>;
   void set_delivery_listener(DeliveryListener listener) {
     on_delivery_ = std::move(listener);
+  }
+
+  /// Called for every event this dispatcher accepts — first reception of a
+  /// local publish, a forwarded event or a recovered one — after the local
+  /// delivery and the recovery protocol have seen it, whether or not it
+  /// matches a local subscription. The daemon feeds its heartbeat
+  /// watermarks from here; the simulator installs none.
+  using AcceptListener = std::function<void(const EventPtr&)>;
+  void set_accept_listener(AcceptListener listener) {
+    on_accept_ = std::move(listener);
   }
 
   /// Called for every HeartbeatMessage arriving on the overlay (daemon-mode
@@ -232,6 +243,7 @@ class Dispatcher final : public TransportReceiver {
   SubscriptionTable table_;
   std::unique_ptr<RecoveryProtocol> recovery_;
   DeliveryListener on_delivery_;
+  AcceptListener on_accept_;
   HeartbeatListener on_heartbeat_;
 
   SeenSet seen_;

@@ -58,9 +58,10 @@ struct StreamMark {
 /// channel. `incarnation` counts the sender's process lifetimes (1 on first
 /// boot, bumped on every restart) so a receiver can tell a recovered peer
 /// from one that never died — an incarnation jump is a restart observation.
-/// `marks` is a rotating slice of the sender's stream watermarks (may be
-/// empty). The simulator never sends these; they exist for real-socket
-/// deployments where no global scheduler knows who is alive.
+/// `marks` is a rotating slice of the sender's witnessed stream watermarks
+/// (daemon::WitnessedMarks; may be empty). The simulator never sends
+/// these; they exist for real-socket deployments where no global scheduler
+/// knows who is alive.
 class HeartbeatMessage final : public Message {
  public:
   static constexpr std::size_t kWireBytes = 16;

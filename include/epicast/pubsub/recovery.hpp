@@ -68,23 +68,6 @@ class RecoveryProtocol {
   /// ignore it.
   virtual void preload_cache(const std::vector<EventPtr>& /*events*/) {}
 
-  /// Copies up to `max_entries` of this protocol's per-(source, pattern)
-  /// stream watermarks into `out`, starting at rotation position `cursor`,
-  /// and returns the cursor for the next call (daemon mode: the failure
-  /// detector piggybacks the slice on outgoing heartbeats). Protocols that
-  /// track no watermarks leave `out` untouched and return 0.
-  virtual std::size_t stream_marks_into(std::size_t /*cursor*/,
-                                        std::size_t /*max_entries*/,
-                                        std::vector<StreamMark>& /*out*/) const {
-    return 0;
-  }
-
-  /// Bytes owned by the stream-watermark bookkeeping behind
-  /// stream_marks_into() — per-component memory accounting.
-  [[nodiscard]] virtual std::size_t watermark_memory_bytes() const {
-    return 0;
-  }
-
   /// A neighbour's heartbeat carried stream watermarks: anything it has
   /// seen beyond this node's own expectation is a loss this node would
   /// never detect from sequence gaps alone (tail of a stream, outage

@@ -77,7 +77,6 @@ struct ScenarioResult {
   /// `routing` covers subscription tables + duplicate-suppression masks
   /// across all dispatchers; `seen` the event dedup sets; `caches` the
   /// retransmission buffers' containers (not the shared events);
-  /// `watermark` the recovery protocols' witnessed stream watermarks;
   /// `topology` the adjacency (mutation vectors + CSR + BFS scratch);
   /// `tracker` the delivery-metric bookkeeping.
   struct MemoryBreakdown {
@@ -86,11 +85,10 @@ struct ScenarioResult {
     std::size_t routing_bytes = 0;
     std::size_t seen_bytes = 0;
     std::size_t cache_bytes = 0;
-    std::size_t watermark_bytes = 0;
     std::size_t tracker_bytes = 0;
     [[nodiscard]] std::size_t total_bytes() const {
       return topology_bytes + routing_bytes + seen_bytes + cache_bytes +
-             watermark_bytes + tracker_bytes;
+             tracker_bytes;
     }
     [[nodiscard]] double bytes_per_node() const {
       return node_count == 0

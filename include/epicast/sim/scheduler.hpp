@@ -136,6 +136,11 @@ class Scheduler {
   /// even if the queue drained early.
   void run_until(SimTime deadline);
 
+  /// Drops every pending entry without running it, releasing what its
+  /// callback holds; handles to the entries become inert. now() and
+  /// executed() are unchanged.
+  void discard_pending();
+
   /// Number of scheduled entries, including not-yet-collected cancellations.
   [[nodiscard]] std::size_t queued() const { return heap_.size(); }
 

@@ -167,6 +167,10 @@ class ShardEngine {
   /// afterwards now() == deadline on the engine and the master simulator.
   void run_until(SimTime deadline);
 
+  /// Drops every pending entry — mailboxes and lane heaps — without
+  /// running it (Scheduler::discard_pending). Between windows only.
+  void discard_pending();
+
  private:
   struct MailEntry {
     SimTime at;

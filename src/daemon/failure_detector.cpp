@@ -1,10 +1,36 @@
 #include "epicast/daemon/failure_detector.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "epicast/common/message_pool.hpp"
 
 namespace epicast::daemon {
+
+void WitnessedMarks::note(const EventData& event) {
+  const std::uint64_t source = event.source().value();
+  for (const PatternSeq& ps : event.patterns()) {
+    const std::uint64_t key = source << 32 | ps.pattern.value();
+    auto [high, first] = high_.try_emplace(key, ps.seq.value());
+    if (first) {
+      order_.push_back(key);
+    } else {
+      *high = std::max(*high, ps.seq.value());
+    }
+  }
+}
+
+void WitnessedMarks::next_slice(std::size_t max_entries,
+                                std::vector<StreamMark>& out) {
+  const std::size_t n = std::min(max_entries, order_.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = order_[cursor_];
+    out.push_back(StreamMark{NodeId{static_cast<std::uint32_t>(key >> 32)},
+                             Pattern{static_cast<std::uint32_t>(key)},
+                             SeqNo{*high_.find(key)}});
+    if (++cursor_ == order_.size()) cursor_ = 0;
+  }
+}
 
 FailureDetector::FailureDetector(Dispatcher& dispatcher,
                                  runtime::AsyncRuntime& rt,
@@ -30,12 +56,9 @@ void FailureDetector::stop() { timer_.stop(); }
 void FailureDetector::tick() {
   const SimTime now = rt_.now();
   // The anti-entropy slice is the same for every neighbour this beat: one
-  // rotating window over the recovery protocol's witnessed watermarks.
+  // rotating window over the witnessed watermarks.
   marks_scratch_.clear();
-  if (cfg_.marks_per_beat > 0 && d_.recovery() != nullptr) {
-    mark_cursor_ = d_.recovery()->stream_marks_into(
-        mark_cursor_, cfg_.marks_per_beat, marks_scratch_);
-  }
+  marks_.next_slice(cfg_.marks_per_beat, marks_scratch_);
   for (NodeId n : d_.neighbors()) {
     MessagePtr hb = make_pooled<HeartbeatMessage>(d_.pool(), cfg_.incarnation,
                                                   marks_scratch_);

@@ -112,25 +112,31 @@ NodeDaemon::NodeDaemon(runtime::ClusterConfig cluster, NodeId self,
   dispatcher_->set_recovery(
       make_recovery(cluster_.algorithm, *dispatcher_, cluster_.gossip));
 
-  replay_journal();
-  if (journal_ != nullptr) {
-    journal_->log_boot(incarnation_, opts_.restart_policy);
-  }
-
   if (cluster_.heartbeat_interval_ms > 0.0) {
     FailureDetectorConfig fc;
     fc.interval = Duration::seconds(cluster_.heartbeat_interval_ms * 1e-3);
     fc.incarnation = incarnation_;
+    // Without a recovery protocol nothing acts on watermarks: heartbeats
+    // stay pure liveness beacons.
+    if (cluster_.algorithm == Algorithm::NoRecovery) fc.marks_per_beat = 0;
     failure_detector_ =
         std::make_unique<FailureDetector>(*dispatcher_, *rt_, fc);
     dispatcher_->set_heartbeat_listener(
         [this](NodeId from, const HeartbeatMessage& hb) {
           failure_detector_->on_heartbeat(from, hb);
         });
+    dispatcher_->set_accept_listener([this](const EventPtr& event) {
+      failure_detector_->witness(*event);
+    });
     failure_detector_->set_on_peer_dead(
         [this](NodeId dead) { repair_routes_around(dead); });
     failure_detector_->set_on_peer_returned(
         [this](NodeId back) { restore_links_of(back); });
+  }
+
+  replay_journal();
+  if (journal_ != nullptr) {
+    journal_->log_boot(incarnation_, opts_.restart_policy);
   }
 
   publish_start_ = SimTime::seconds(cluster_.settle_seconds);
@@ -161,8 +167,12 @@ void NodeDaemon::replay_journal() {
   dispatcher_->recovery()->on_restart(opts_.restart_policy);
   if (opts_.restart_policy == fault::RestartPolicy::Warm &&
       opts_.cache_snapshot) {
-    dispatcher_->recovery()->preload_cache(
-        read_cache_snapshot(opts_.journal_path + ".cache"));
+    const std::vector<EventPtr> events =
+        read_cache_snapshot(opts_.journal_path + ".cache");
+    dispatcher_->recovery()->preload_cache(events);
+    if (failure_detector_ != nullptr) {
+      for (const EventPtr& e : events) failure_detector_->witness(*e);
+    }
   }
 }
 

@@ -67,8 +67,6 @@ void GossipProtocolBase::on_restart(fault::RestartPolicy policy) {
   if (policy == fault::RestartPolicy::Cold) {
     cache_.clear();
     digest_marks_.fill({});
-    stream_marks_.clear();
-    stream_order_.clear();
     ++restart_epoch_;
   }
 }
@@ -116,39 +114,7 @@ void GossipProtocolBase::on_peer_suspected(NodeId peer) {
 }
 
 void GossipProtocolBase::preload_cache(const std::vector<EventPtr>& events) {
-  for (const EventPtr& e : events) {
-    cache_.insert(e);
-    note_stream_marks(*e);
-  }
-}
-
-void GossipProtocolBase::note_stream_marks(const EventData& event) {
-  const std::uint64_t source = event.source().value();
-  for (const PatternSeq& ps : event.patterns()) {
-    const std::uint64_t key = source << 32 | ps.pattern.value();
-    auto [high, first] = stream_marks_.try_emplace(key, ps.seq.value());
-    if (first) {
-      stream_order_.push_back(key);
-    } else {
-      *high = std::max(*high, ps.seq.value());
-    }
-  }
-}
-
-std::size_t GossipProtocolBase::stream_marks_into(
-    std::size_t cursor, std::size_t max_entries,
-    std::vector<StreamMark>& out) const {
-  const std::size_t n = stream_order_.size();
-  if (n == 0 || max_entries == 0) return 0;
-  cursor %= n;
-  for (std::size_t i = 0; i < std::min(max_entries, n); ++i) {
-    const std::uint64_t key = stream_order_[cursor];
-    out.push_back(StreamMark{NodeId{static_cast<std::uint32_t>(key >> 32)},
-                             Pattern{static_cast<std::uint32_t>(key)},
-                             SeqNo{*stream_marks_.find(key)}});
-    if (++cursor == n) cursor = 0;
-  }
-  return cursor;
+  for (const EventPtr& e : events) cache_.insert(e);
 }
 
 void GossipProtocolBase::prune_suspects(std::vector<NodeId>& targets) const {
@@ -175,7 +141,6 @@ void GossipProtocolBase::run_round() {
 
 void GossipProtocolBase::on_event(const EventPtr& event,
                                   const EventContext& ctx) {
-  note_stream_marks(*event);
   if (!responsible_for(*event, ctx.local_publish)) return;
   // Publishers always cache their own events (publisher-based pull relies
   // on the source as the recovery backstop, §III-B); subscribers are

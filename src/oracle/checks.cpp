@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "epicast/common/assert.hpp"
 #include "epicast/gossip/event_cache.hpp"
 #include "epicast/gossip/messages.hpp"
 #include "epicast/pubsub/network.hpp"
@@ -29,14 +30,26 @@ const EventCache* cache_of(const OracleContext& ctx, NodeId node) {
   return rec != nullptr ? rec->event_cache() : nullptr;
 }
 
+/// Adds `id` to `set`; returns false if it was already present.
+bool insert_id(EventIdSet& set, const EventId& id) {
+  EPICAST_ASSERT_MSG(id.source.valid(), "event id without a source");
+  return set.try_emplace(id, NoValue{}).second;
+}
+
 }  // namespace
+
+bool NodeEventSet::insert(NodeId node, const EventId& id) {
+  EPICAST_ASSERT(node.valid());
+  if (node.value() >= by_node_.size()) by_node_.resize(node.value() + 1);
+  return insert_id(by_node_[node.value()], id);
+}
 
 // -- 1. unique-delivery -------------------------------------------------------
 
 void UniqueDeliveryOracle::on_delivery(NodeId node, const EventPtr& event,
                                        bool /*recovered*/) {
   checked();
-  if (!delivered_.insert({event->id(), node}).second) {
+  if (!delivered_.insert(node, event->id())) {
     fail(node, "duplicate delivery of event " + event_label(event->id()));
   }
 }
@@ -56,7 +69,7 @@ void MatchingDeliveryOracle::on_delivery(NodeId node, const EventPtr& event,
 // -- 3. conservation ----------------------------------------------------------
 
 void ConservationOracle::on_publish(const EventPtr& event) {
-  published_.insert(event->id());
+  (void)insert_id(published_, event->id());
 }
 
 void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
@@ -70,7 +83,7 @@ void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
                                 ctx().sim != nullptr &&
                                 ctx().sim->now() == event->published_at();
     if (publisher_self) {
-      published_.insert(id);
+      (void)insert_id(published_, id);
     } else {
       fail(node, "delivery of unpublished event " + event_label(id));
       return;
@@ -83,7 +96,7 @@ void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
   }
   if (recovered) {
     checked();
-    if (!offered_.contains({id, node})) {
+    if (!offered_.contains(node, id)) {
       fail(node, "recovered delivery of event " + event_label(id) +
                      " without a preceding retransmission reply to this node");
     }
@@ -92,9 +105,14 @@ void ConservationOracle::on_delivery(NodeId node, const EventPtr& event,
 
 void ConservationOracle::on_send(NodeId /*from*/, NodeId to, const Message& msg,
                                  bool /*overlay*/) {
+  // The class test keeps the cast off the event path; the cast still
+  // guards against foreign messages of the reply class.
+  if (msg.message_class() != MessageClass::GossipReply) return;
   const auto* reply = dynamic_cast<const RecoveryReplyMessage*>(&msg);
   if (reply == nullptr) return;
-  for (const EventPtr& ev : reply->events()) offered_.insert({ev->id(), to});
+  for (const EventPtr& ev : reply->events()) {
+    (void)offered_.insert(to, ev->id());
+  }
 }
 
 // -- 4. buffer-bound ----------------------------------------------------------
@@ -130,9 +148,16 @@ void BufferBoundOracle::verify_occupancy(NodeId node, std::size_t size,
 
 void DigestCoverageOracle::on_send(NodeId from, NodeId /*to*/,
                                    const Message& msg, bool /*overlay*/) {
-  if (const auto* digest = dynamic_cast<const PushDigestMessage*>(&msg)) {
+  // As in ConservationOracle::on_send: the class first, a cast only on a
+  // match.
+  const MessageClass cls = msg.message_class();
+  if (cls == MessageClass::GossipDigest) {
+    const auto* digest = dynamic_cast<const PushDigestMessage*>(&msg);
     // Only originated digests (forwarders relay the originator's ids).
-    if (digest->hops() != 0 || digest->gossiper() != from) return;
+    if (digest == nullptr || digest->hops() != 0 ||
+        digest->gossiper() != from) {
+      return;
+    }
     const EventCache* cache = cache_of(ctx(), from);
     if (cache == nullptr) return;
     for (const EventId& id : digest->ids()) {
@@ -142,8 +167,9 @@ void DigestCoverageOracle::on_send(NodeId from, NodeId /*to*/,
                        " absent from the sender's buffer");
       }
     }
-  } else if (const auto* reply =
-                 dynamic_cast<const RecoveryReplyMessage*>(&msg)) {
+  } else if (cls == MessageClass::GossipReply) {
+    const auto* reply = dynamic_cast<const RecoveryReplyMessage*>(&msg);
+    if (reply == nullptr) return;
     const EventCache* cache = cache_of(ctx(), from);
     if (cache == nullptr) return;
     for (const EventPtr& ev : reply->events()) {

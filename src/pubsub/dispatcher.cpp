@@ -213,6 +213,7 @@ void Dispatcher::accept_event(const EventPtr& event,
     if (on_delivery_) on_delivery_(id_, event, ctx.recovered);
   }
   if (recovery_) recovery_->on_event(event, ctx);
+  if (on_accept_) on_accept_(event);
 }
 
 void Dispatcher::forward_event(const EventPtr& event, NodeId exclude,

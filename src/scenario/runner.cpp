@@ -383,7 +383,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     if (const EventCache* c = d.recovery()->event_cache()) {
       result.memory.cache_bytes += c->memory_bytes();
     }
-    result.memory.watermark_bytes += d.recovery()->watermark_memory_bytes();
     if (d.recovery()) d.recovery()->stop();
   });
 
@@ -438,6 +437,14 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
                                      static_cast<double>(es.mailbox_posted);
     result.shard.barrier_wait_seconds =
         static_cast<double>(es.barrier_wait_ns) * 1e-9;
+  }
+  // Nothing scheduled past end_time runs. Releasing it first makes the pool
+  // counters describe what the scenario retains — the events in the
+  // retransmission buffers — not the messages the cut-off caught in flight.
+  if (engine) {
+    engine->discard_pending();
+  } else {
+    sim.scheduler().discard_pending();
   }
   result.pool = sim.pool().stats();
   for (const auto& rt : lane_rts) {

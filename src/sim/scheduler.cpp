@@ -135,6 +135,17 @@ bool Scheduler::slot_pending(std::uint32_t slot, std::uint64_t gen) const {
   return s.generation == gen && s.live_seq != kFreeSeq;
 }
 
+void Scheduler::discard_pending() {
+  std::vector<Callback> dropped;
+  dropped.reserve(heap_.size());
+  for (const HeapEntry& e : heap_) {
+    if (entry_live(e)) dropped.push_back(release_slot(e.slot));
+  }
+  heap_.clear();
+  // `dropped` dies last, with the heap already consistent: a capture's
+  // destructor may cancel a handle into this scheduler.
+}
+
 bool Scheduler::step() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();

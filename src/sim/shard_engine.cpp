@@ -124,6 +124,12 @@ bool ShardEngine::cancel(const MailRef& ref) {
   return true;
 }
 
+void ShardEngine::discard_pending() {
+  EPICAST_ASSERT(!in_window_);
+  drain_mailboxes();
+  for (auto& lane : lanes_) lane->discard_pending();
+}
+
 void ShardEngine::drain_mailboxes() {
   // Only pairs made nonempty since the last drain are walked (each source
   // lane records its own dirty list, so posting stays lane-local under the

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "../gossip_harness.hpp"
 #include "epicast/epicast.hpp"
@@ -56,6 +57,33 @@ TEST(UniqueDeliveryOracleTest, FiresOnDuplicateDelivery) {
   EXPECT_EQ(suite->violations()[0].oracle, "unique-delivery");
   EXPECT_EQ(suite->violations()[0].node, NodeId{3});
   EXPECT_GT(suite->checks(), 0u);
+}
+
+TEST(UniqueDeliveryOracleTest, KeysPairsExactlyPerNode) {
+  // The pairs live in one flat set of exact event ids per node, grown to
+  // the highest node id seen. A duplicate at the highest id fires; ids
+  // that differ only in high bits, or that a packed key would fold
+  // together, are distinct events.
+  auto suite = record_suite();
+  suite->add(std::make_unique<UniqueDeliveryOracle>());
+  const EventPtr e = make_event(0, 7);
+  const EventPtr high_seq = make_event(0, 7 | (std::uint64_t{1} << 40));
+  const EventPtr high_source = make_event(1u << 31, 7);
+  const NodeId top{4095};
+  for (const NodeId n : {NodeId{0}, NodeId{3}, top}) {
+    suite->notify_delivery(n, e, false);
+    suite->notify_delivery(n, high_seq, false);
+    suite->notify_delivery(n, high_source, false);
+  }
+  EXPECT_TRUE(suite->violations().empty());
+  suite->notify_delivery(top, high_seq, false);
+  ASSERT_EQ(suite->violations().size(), 1u);
+  EXPECT_EQ(suite->violations()[0].node, top);
+  // Growing the table to a higher id kept the lower ids' sets.
+  suite->notify_delivery(NodeId{3}, e, false);
+  ASSERT_EQ(suite->violations().size(), 2u);
+  EXPECT_EQ(suite->violations()[1].node, NodeId{3});
+  EXPECT_EQ(suite->checks(), 11u);
 }
 
 TEST(MatchingDeliveryOracleTest, FiresOnDeliveryToNonSubscriber) {
@@ -110,6 +138,54 @@ TEST(ConservationOracleTest, AcceptsRecoveredDeliveryAfterReply) {
   suite->on_send(NodeId{1}, NodeId{5}, reply, /*overlay=*/false);
   suite->notify_delivery(NodeId{5}, e, /*recovered=*/true);
   EXPECT_TRUE(suite->violations().empty());
+}
+
+TEST(ConservationOracleTest, FiresOnUnpublishedIdDifferingInHighBits) {
+  auto suite = record_suite();
+  suite->add(std::make_unique<ConservationOracle>());
+  suite->notify_publish(make_event(0, 7));
+  suite->notify_delivery(NodeId{5}, make_event(0, 7), false);
+  EXPECT_TRUE(suite->violations().empty());
+  // Same low 32 bits of the sequence number, and a source/seq mix that
+  // hashes alike: neither was published.
+  suite->notify_delivery(NodeId{5},
+                         make_event(0, 7 | (std::uint64_t{1} << 32)), false);
+  suite->notify_delivery(NodeId{5},
+                         make_event(1, 7 | (std::uint64_t{1} << 40)), false);
+  ASSERT_EQ(suite->violations().size(), 2u);
+  for (const auto& v : suite->violations()) {
+    EXPECT_NE(v.detail.find("unpublished"), std::string::npos) << v.detail;
+  }
+}
+
+TEST(ConservationOracleTest, FiresOnRecoveredDeliveryToAnotherNode) {
+  // The reply offered the event to node 5; a recovered delivery of it at
+  // node 6 has no retransmission behind it.
+  auto suite = record_suite();
+  suite->add(std::make_unique<ConservationOracle>());
+  const EventPtr e = make_event(0, 7);
+  suite->notify_publish(e);
+  const RecoveryReplyMessage reply(NodeId{1}, /*nominal_bytes=*/100, {e});
+  suite->on_send(NodeId{1}, NodeId{5}, reply, /*overlay=*/false);
+  suite->notify_delivery(NodeId{6}, e, /*recovered=*/true);
+  ASSERT_EQ(suite->violations().size(), 1u);
+  EXPECT_EQ(suite->violations()[0].node, NodeId{6});
+  suite->notify_delivery(NodeId{5}, e, /*recovered=*/true);
+  EXPECT_EQ(suite->violations().size(), 1u);
+}
+
+TEST(ConservationOracleTest, IgnoresSendsOfOtherClasses) {
+  // Only reply-class sends offer events: an event message carrying the
+  // same event to node 5 does not license a recovered delivery there.
+  auto suite = record_suite();
+  suite->add(std::make_unique<ConservationOracle>());
+  const EventPtr e = make_event(0, 7);
+  suite->notify_publish(e);
+  const EventMessage forward(e, {});
+  suite->on_send(NodeId{1}, NodeId{5}, forward, /*overlay=*/true);
+  EXPECT_EQ(suite->checks(), 0u);
+  suite->notify_delivery(NodeId{5}, e, /*recovered=*/true);
+  ASSERT_EQ(suite->violations().size(), 1u);
 }
 
 TEST(BufferBoundOracleTest, FiresOnOccupancyAboveBeta) {

@@ -18,9 +18,11 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "epicast/daemon/journal.hpp"
 #include "epicast/daemon/node.hpp"
 #include "epicast/runtime/cluster.hpp"
 
@@ -292,6 +294,109 @@ TEST(NodeDaemon, SilentPeerIsSuspectedThenConfirmedDead) {
   EXPECT_GE(st.peers_suspected, 1u);
   EXPECT_GE(st.peers_confirmed_dead, 1u);
   EXPECT_TRUE(daemons[0]->failure_detector()->confirmed_dead(NodeId{1}));
+}
+
+TEST(NodeDaemon, HeartbeatsCarryForwardedAndPreloadedMarks) {
+  // Line 0—1—2; only node 2 subscribes, so node 1 forwards node 0's events
+  // without delivering them. Node 1 is a warm restart whose cache snapshot
+  // holds an event of a stream it never saw live. Its heartbeats to node 0
+  // must carry both marks: a mark is knowledge, not stock.
+  const std::string journal = testing::TempDir() +
+                              "epicast_daemon_marks_" +
+                              std::to_string(::getpid());
+  std::remove(journal.c_str());
+  runtime::ClusterConfig cfg =
+      line_cluster(3, /*drop_rate=*/0.0, /*rate_hz=*/0.0,
+                   /*run_s=*/5.0, /*drain_s=*/1.0);
+  cfg.heartbeat_interval_ms = 20.0;
+  daemon::DaemonOptions opts;
+  opts.journal_path = journal;
+  opts.restart_policy = fault::RestartPolicy::Warm;
+  opts.cache_snapshot = true;
+  // First life of node 1: journals one boot and is gone.
+  (void)std::make_unique<daemon::NodeDaemon>(cfg, NodeId{1}, opts);
+  const EventPtr snap = std::make_shared<EventData>(
+      EventId{NodeId{2}, 0}, std::vector<PatternSeq>{{Pattern{5}, SeqNo{7}}},
+      64, SimTime::zero());
+  daemon::write_cache_snapshot(journal + ".cache", {snap});
+
+  std::vector<std::unique_ptr<daemon::NodeDaemon>> daemons;
+  daemons.push_back(std::make_unique<daemon::NodeDaemon>(cfg, NodeId{0}));
+  daemons.push_back(std::make_unique<daemon::NodeDaemon>(cfg, NodeId{1}, opts));
+  daemons.push_back(std::make_unique<daemon::NodeDaemon>(cfg, NodeId{2}));
+  ASSERT_TRUE(daemons[1]->restarted());
+  std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>> heard;
+  daemon::FailureDetector* fd0 = daemons[0]->failure_detector();
+  ASSERT_NE(fd0, nullptr);
+  daemons[0]->dispatcher().set_heartbeat_listener(
+      [&heard, fd0](NodeId from, const HeartbeatMessage& hb) {
+        if (from == NodeId{1}) {
+          for (const StreamMark& m : hb.marks()) {
+            heard.insert({m.source.value(), m.pattern.value(), m.seq.value()});
+          }
+        }
+        fd0->on_heartbeat(from, hb);
+      });
+  // Polled from this thread instead of run(): start only the detectors.
+  for (auto& d : daemons) d->failure_detector()->start();
+  auto poll_all = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (auto& d : daemons) d->runtime().poll(Duration::millis(2));
+    }
+  };
+  for (int i = 0; i < 3; ++i) {
+    (void)daemons[0]->dispatcher().publish({Pattern{0}});
+  }
+  const std::tuple<std::uint32_t, std::uint32_t, std::uint64_t> forwarded{
+      0, 0, 3};
+  const std::tuple<std::uint32_t, std::uint32_t, std::uint64_t> preloaded{
+      2, 5, 7};
+  for (int i = 0; i < 200 && !(heard.contains(forwarded) &&
+                                heard.contains(preloaded));
+       ++i) {
+    poll_all(5);
+  }
+  EXPECT_EQ(daemons[2]->delivered().size(), 3u);
+  EXPECT_TRUE(daemons[1]->delivered().empty());
+  EXPECT_TRUE(heard.contains(forwarded)) << "forwarded stream not marked";
+  EXPECT_TRUE(heard.contains(preloaded)) << "snapshot stream not marked";
+  EXPECT_EQ(daemons[1]->failure_detector()->marks().size(), 2u);
+  for (auto& d : daemons) d->failure_detector()->stop();
+  std::remove(journal.c_str());
+  std::remove((journal + ".cache").c_str());
+}
+
+TEST(NodeDaemon, NoRecoveryHeartbeatsCarryNoMarks) {
+  // Without a recovery protocol nothing acts on marks: beats stay pure
+  // liveness beacons and the witnessed table stays empty.
+  runtime::ClusterConfig cfg =
+      line_cluster(2, /*drop_rate=*/0.0, /*rate_hz=*/0.0,
+                   /*run_s=*/5.0, /*drain_s=*/1.0);
+  cfg.heartbeat_interval_ms = 20.0;
+  cfg.algorithm = Algorithm::NoRecovery;
+  cfg.subscriptions = {{NodeId{0}, Pattern{0}}, {NodeId{1}, Pattern{0}}};
+  std::vector<std::unique_ptr<daemon::NodeDaemon>> daemons;
+  daemons.push_back(std::make_unique<daemon::NodeDaemon>(cfg, NodeId{0}));
+  daemons.push_back(std::make_unique<daemon::NodeDaemon>(cfg, NodeId{1}));
+  std::size_t beats = 0;
+  std::size_t marks = 0;
+  daemon::FailureDetector* fd1 = daemons[1]->failure_detector();
+  daemons[1]->dispatcher().set_heartbeat_listener(
+      [&, fd1](NodeId from, const HeartbeatMessage& hb) {
+        ++beats;
+        marks += hb.marks().size();
+        fd1->on_heartbeat(from, hb);
+      });
+  for (auto& d : daemons) d->failure_detector()->start();
+  (void)daemons[0]->dispatcher().publish({Pattern{0}});
+  for (int i = 0; i < 200 && beats < 3; ++i) {
+    for (auto& d : daemons) d->runtime().poll(Duration::millis(2));
+  }
+  EXPECT_GE(beats, 3u);
+  EXPECT_EQ(marks, 0u);
+  EXPECT_EQ(daemons[1]->delivered().size(), 1u);
+  EXPECT_EQ(daemons[0]->failure_detector()->marks().size(), 0u);
+  for (auto& d : daemons) d->failure_detector()->stop();
 }
 
 // -- crash-restart recovery (tentpole) ----------------------------------------

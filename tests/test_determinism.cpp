@@ -199,18 +199,35 @@ TEST(Determinism, PoolModeDoesNotAffectResults) {
   // EPICAST_POOL only switches the allocator under the shared_ptrs; pooled
   // and pass-through builds must be bit-identical. (CI exercises the env
   // switch; here we compare the modes directly through the same scenario.)
-  const ScenarioConfig cfg = quick(Algorithm::Push, 404);
+  ScenarioConfig cfg = quick(Algorithm::Push, 404);
+  // β above the run's event count: no buffer evicts anything.
+  cfg.gossip.buffer_size = 10000;
   const ScenarioResult a = run_scenario(cfg);
   const ScenarioResult b = run_scenario(cfg);
   expect_identical(a, b);
   // Pool counters are observability only, but they must be deterministic
-  // too, and coherent: the snapshot is taken while the delivery tracker
-  // still holds the published events, so exactly those are live.
+  // too, and exact. The runner reads them after releasing the messages
+  // still in flight at end time, so the live pooled objects are exactly
+  // the events the retransmission buffers hold: with nothing evicted,
+  // every event its publisher cached.
   EXPECT_GT(a.pool.allocations, 0u);
   EXPECT_EQ(a.pool.allocations, b.pool.allocations);
+  EXPECT_EQ(a.pool.deallocations, b.pool.deallocations);
   EXPECT_EQ(a.pool.reuses, b.pool.reuses);
-  EXPECT_LE(a.pool.deallocations, a.pool.allocations);
   EXPECT_EQ(a.pool.live(), a.events_published);
+  // Seeds 1 and 2 end with messages in flight; the sharded engine
+  // releases its mailboxes and lane heaps alike.
+  for (const std::uint64_t seed : {1u, 2u}) {
+    cfg.seed = seed;
+    for (const std::uint32_t shards : {1u, 2u}) {
+      cfg.shards = shards;
+      const ScenarioResult r = run_scenario(cfg);
+      EXPECT_EQ(r.pool.live(), r.events_published)
+          << "seed " << seed << ", shards " << shards;
+    }
+  }
+  // No buffers, nothing live.
+  EXPECT_EQ(run_scenario(quick(Algorithm::NoRecovery, 2)).pool.live(), 0u);
 }
 
 TEST(Determinism, ProfilerTimingFlagDoesNotAffectResults) {

@@ -55,19 +55,25 @@ TEST(Scenario, ZeroLossDeliversEverything) {
   EXPECT_DOUBLE_EQ(r.delivery_rate, 1.0);
 }
 
-TEST(Scenario, MemoryBreakdownCountsWitnessedWatermarks) {
-  // Gossip protocols keep a watermark per witnessed (source, pattern)
-  // stream; the breakdown reports it and folds it into the total.
-  const ScenarioResult r = run_scenario(small(Algorithm::CombinedPull));
-  const auto& m = r.memory;
-  EXPECT_GT(m.watermark_bytes, 0u);
-  EXPECT_GT(m.cache_bytes, 0u);
-  EXPECT_EQ(m.total_bytes(), m.topology_bytes + m.routing_bytes +
-                                 m.seen_bytes + m.cache_bytes +
-                                 m.watermark_bytes + m.tracker_bytes);
-  // No recovery protocol, no watermarks.
-  EXPECT_EQ(run_scenario(small(Algorithm::NoRecovery)).memory.watermark_bytes,
-            0u);
+TEST(Scenario, MemoryBreakdownSumsToTheTotal) {
+  // The breakdown's components add up to total_bytes(), with and without a
+  // recovery protocol; only the gossip protocols own a retransmission
+  // buffer.
+  for (const Algorithm a : {Algorithm::CombinedPull, Algorithm::NoRecovery}) {
+    const ScenarioResult r = run_scenario(small(a));
+    const auto& m = r.memory;
+    EXPECT_EQ(m.total_bytes(), m.topology_bytes + m.routing_bytes +
+                                   m.seen_bytes + m.cache_bytes +
+                                   m.tracker_bytes)
+        << to_string(a);
+    EXPECT_GT(m.topology_bytes, 0u);
+    EXPECT_GT(m.routing_bytes, 0u);
+    EXPECT_GT(m.seen_bytes, 0u);
+    EXPECT_GT(m.tracker_bytes, 0u);
+    EXPECT_EQ(m.cache_bytes > 0, a != Algorithm::NoRecovery) << to_string(a);
+    EXPECT_DOUBLE_EQ(m.bytes_per_node(),
+                     static_cast<double>(m.total_bytes()) / m.node_count);
+  }
 }
 
 class RecoveryImproves : public ::testing::TestWithParam<Algorithm> {};

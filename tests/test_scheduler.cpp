@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "epicast/sim/simulator.hpp"
@@ -105,6 +106,34 @@ TEST(Scheduler, StepReturnsFalseWhenEmpty) {
   s.schedule_at(SimTime::seconds(1.0), [] {});
   EXPECT_TRUE(s.step());
   EXPECT_FALSE(s.step());
+}
+
+TEST(Scheduler, DiscardPendingReleasesWithoutRunning) {
+  Scheduler s;
+  auto held = std::make_shared<int>(0);
+  int ran = 0;
+  s.schedule_at(SimTime::seconds(1.0), [&ran] { ++ran; });
+  EventHandle later = s.schedule_at(SimTime::seconds(5.0),
+                                    [&ran, held] { ran += *held + 1; });
+  EventHandle cancelled =
+      s.schedule_at(SimTime::seconds(6.0), [&ran, held] { ++ran; });
+  cancelled.cancel();
+  s.run_until(SimTime::seconds(2.0));
+  ASSERT_EQ(ran, 1);
+  ASSERT_EQ(held.use_count(), 2);
+  s.discard_pending();
+  EXPECT_EQ(held.use_count(), 1);  // the captures are gone
+  EXPECT_FALSE(later.pending());
+  EXPECT_FALSE(later.cancel());
+  EXPECT_EQ(s.queued(), 0u);
+  EXPECT_EQ(s.executed(), 1u);
+  EXPECT_EQ(s.now(), SimTime::seconds(2.0));
+  s.run();
+  EXPECT_EQ(ran, 1);
+  // The scheduler stays usable.
+  s.schedule_at(SimTime::seconds(3.0), [&ran] { ran += 10; });
+  s.run();
+  EXPECT_EQ(ran, 11);
 }
 
 TEST(Scheduler, ExecutedCountsOnlyLiveEvents) {
